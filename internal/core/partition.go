@@ -417,12 +417,9 @@ func (a *analysis) origin(s *StreamRef, attr int) (string, int, bool) {
 }
 
 // eqPairs extracts the equi-join conjuncts (left attr, right attr) of a
-// binary operator usable as co-location keys. For µ, only conjuncts over
-// the immutable start part qualify (the instance key must survive
-// rebinding), and the filter edge must provably keep the instance alive
-// on every event that misses the key (see muKeySafe): an instance only
-// sees its own shard's events, so an event that would delete it must
-// either carry the key (co-located) or be a no-op.
+// binary operator usable as co-location keys. A µ conjunct qualifies only
+// through MuKey, which maps it to the start attribute its key equals for
+// the instance's whole life.
 func eqPairs(o *Op) [][2]int {
 	if o.Def.Pred2 == nil {
 		return nil
@@ -430,10 +427,17 @@ func eqPairs(o *Op) [][2]int {
 	lArity := o.In[0].Schema.Arity()
 	var out [][2]int
 	add := func(p expr.Pred2) {
-		if ac, ok := p.(expr.AttrCmp2); ok && ac.Op == expr.Eq && ac.L < lArity {
-			if o.Def.Kind == KindMu && !muKeySafe(o, ac.L, ac.R) {
-				return
+		ac, ok := p.(expr.AttrCmp2)
+		if !ok || ac.Op != expr.Eq {
+			return
+		}
+		if o.Def.Kind == KindMu {
+			if k, ok := MuKey(o.Def, lArity, ac); ok {
+				out = append(out, [2]int{k, ac.R})
 			}
+			return
+		}
+		if ac.L < lArity {
 			out = append(out, [2]int{ac.L, ac.R})
 		}
 	}
@@ -448,23 +452,42 @@ func eqPairs(o *Op) [][2]int {
 	return out
 }
 
-// muKeySafe reports whether a µ operator keyed on l[la] = r[ra] behaves
-// identically when its events are partitioned by the key: an event that
-// misses the key must traverse the filter edge (instance unchanged), not
-// delete the instance. Recognized idioms: filter ≡ true, and the Cayuga
-// negated-key filter ¬(l[la] = r[ra]).
-func muKeySafe(o *Op, la, ra int) bool {
-	switch f := o.Def.Filter2.(type) {
-	case nil:
-		return false
-	case expr.True2:
-		return true
-	case expr.Not2:
-		if ac, ok := f.P.(expr.AttrCmp2); ok && ac.Op == expr.Eq && ac.L == la && ac.R == ra {
-			return true
+// MuKey reports whether ac, a top-level conjunct l[ac.L] = r[ac.R] of the
+// rebind predicate of µ definition d, whose instances start from tuples of
+// arity lArity, keys each instance for its whole life, and returns the
+// start attribute the key always equals. Two shapes qualify:
+//
+//   - l[k] = r[j] with k < lArity: the start part never changes.
+//   - l[lArity+k] = r[k] with k < lArity: the "last" slot k starts as a
+//     copy of start[k], and a rebind fires only when last[k] = r[k] and
+//     then writes r[k] back into it, so last[k] = start[k] always.
+//
+// The filter edge must also keep every instance an event with a different
+// key meets: θf ≡ true, or the Cayuga negated key ¬(l[ac.L] = r[ac.R]).
+// Such an event then leaves the instance unchanged, so both an AI index
+// that only probes the event's own key (package mop) and a partitioning
+// that only shows an instance the events of its own key (AnalyzePartition)
+// give the results of a scan over every instance.
+func MuKey(d *Def, lArity int, ac expr.AttrCmp2) (int, bool) {
+	if ac.Op != expr.Eq {
+		return 0, false
+	}
+	k := ac.L
+	if k >= lArity {
+		k -= lArity
+		if k != ac.R || k >= lArity {
+			return 0, false
 		}
 	}
-	return false
+	switch f := d.Filter2.(type) {
+	case expr.True2:
+		return k, true
+	case expr.Not2:
+		if nk, ok := f.P.(expr.AttrCmp2); ok && nk == ac {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // verify computes stream statuses under the candidate modes. It returns

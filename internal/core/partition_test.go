@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -294,5 +296,94 @@ func TestPartitionOriginTracing(t *testing.T) {
 	}
 	if got := pp.Routes["T"].Mode; got != PartitionBroadcast {
 		t.Fatalf("T mode = %v, want broadcast", got)
+	}
+}
+
+// MuKey accepts a µ conjunct only when its left side never changes over an
+// instance's life and a key mismatch cannot delete the instance.
+func TestMuKey(t *testing.T) {
+	const lArity = 2
+	key := expr.AttrCmp2{L: 2, Op: expr.Eq, R: 0} // last[0] = r[0]
+	for _, tc := range []struct {
+		name   string
+		ac     expr.AttrCmp2
+		filter expr.Pred2
+		want   int
+		ok     bool
+	}{
+		{"last slot, negated key", key, expr.Not2{P: key}, 0, true},
+		{"last slot, true filter", expr.AttrCmp2{L: 3, Op: expr.Eq, R: 1}, expr.True2{}, 1, true},
+		{"start part", expr.AttrCmp2{L: 1, Op: expr.Eq, R: 0}, expr.True2{}, 1, true},
+		{"last slot of another attr", expr.AttrCmp2{L: 2, Op: expr.Eq, R: 1}, expr.True2{}, 0, false},
+		{"last slot past the start", expr.AttrCmp2{L: 4, Op: expr.Eq, R: 2}, expr.True2{}, 0, false},
+		{"not an equality", expr.AttrCmp2{L: 2, Op: expr.Lt, R: 0}, expr.True2{}, 0, false},
+		{"filter negates another key", key, expr.Not2{P: expr.AttrCmp2{L: 3, Op: expr.Eq, R: 1}}, 0, false},
+		{"filter not key-safe", key, expr.AttrCmp2{L: 3, Op: expr.Lt, R: 1}, 0, false},
+		{"no filter", key, nil, 0, false},
+	} {
+		d := MuDef(expr.NewAnd2(tc.ac), tc.filter, 100)
+		got, ok := MuKey(d, lArity, tc.ac)
+		if ok != tc.ok || (ok && got != tc.want) {
+			t.Errorf("%s: MuKey = %d, %v; want %d, %v", tc.name, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
+// hybridPlan builds n §5.3-shaped queries: per-process smoothing, a start
+// condition, and µ over (pid, load, last_pid, last_load) with the given
+// rebind key and filter.
+func hybridPlan(t *testing.T, n int, key expr.AttrCmp2, filter expr.Pred2) *Physical {
+	t.Helper()
+	cat := map[string]SourceDecl{"CPU": {Schema: stream.MustSchema("CPU", "pid", "load")}}
+	var qs []*Query
+	for i := 0; i < n; i++ {
+		smoothed := AggL(AggAvg, 1, 60, []int{0}, Scan("CPU"))
+		start := SelectL(expr.ConstCmp{Attr: 1, Op: expr.Lt, C: int64(50 + i)}, smoothed)
+		rebind := expr.NewAnd2(key, expr.AttrCmp2{L: 3, Op: expr.Lt, R: 1})
+		mu := MuL(rebind, filter, 3600, start, AggL(AggAvg, 1, 60, []int{0}, Scan("CPU")))
+		qs = append(qs, NewQuery(fmt.Sprintf("q%d", i), SelectL(expr.ConstCmp{Attr: 3, Op: expr.Gt, C: 10}, mu)))
+	}
+	return mustPlan(t, cat, qs...)
+}
+
+// The hybrid µ keyed in its "last" slot (l[2] = r[0]) partitions on the
+// process: the key equals start[0] for the instance's life.
+func TestAnalyzePartitionMuLastSlotKey(t *testing.T) {
+	key := expr.AttrCmp2{L: 2, Op: expr.Eq, R: 0}
+	pp := AnalyzePartition(hybridPlan(t, 3, key, expr.Not2{P: key}))
+	if got := pp.Routes["CPU"]; got.Mode != PartitionHash || got.Attr != 0 {
+		t.Fatalf("CPU route = %+v, want hash(a0)", got)
+	}
+	if len(pp.ReplicatedSinks) != 0 {
+		t.Fatalf("replicated sinks %v, want none", pp.ReplicatedSinks)
+	}
+
+	// The last slot of another attribute is not a key (j != k), and a
+	// filter that may delete a mismatched instance forbids partitioning.
+	for name, p := range map[string]*Physical{
+		"j != k":              hybridPlan(t, 3, expr.AttrCmp2{L: 2, Op: expr.Eq, R: 1}, expr.Not2{P: expr.AttrCmp2{L: 2, Op: expr.Eq, R: 1}}),
+		"filter not key-safe": hybridPlan(t, 3, key, expr.AttrCmp2{L: 3, Op: expr.Lt, R: 1}),
+	} {
+		pp := AnalyzePartition(p)
+		if got := pp.Routes["CPU"].Mode; got != PartitionBroadcast {
+			t.Errorf("%s: CPU mode = %v, want broadcast", name, got)
+		}
+		if len(pp.ReplicatedSinks) != 3 {
+			t.Errorf("%s: replicated sinks %v, want all 3", name, pp.ReplicatedSinks)
+		}
+	}
+}
+
+// A query that needs CPU broadcast cannot join the hash-partitioned hybrid
+// plan under its pinned routes.
+func TestExtendPartitionRejectsBroadcastOnHybrid(t *testing.T) {
+	key := expr.AttrCmp2{L: 2, Op: expr.Eq, R: 0}
+	prev := AnalyzePartition(hybridPlan(t, 2, key, expr.Not2{P: key}))
+	grown := hybridPlan(t, 2, key, expr.Not2{P: key})
+	if err := grown.AddQuery(NewQuery("total", AggL(AggSum, 1, 60, nil, Scan("CPU")))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExtendPartition(grown, prev); err == nil || !strings.Contains(err.Error(), "re-routing pinned source \"CPU\"") {
+		t.Fatalf("ExtendPartition = %v, want the pinned-route error for CPU", err)
 	}
 }

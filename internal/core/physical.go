@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -369,6 +370,54 @@ func (p *Physical) EdgeOf(s *StreamRef) (*Edge, int) {
 // Consumers returns the operators reading stream s.
 func (p *Physical) Consumers(s *StreamRef) []*Op {
 	return p.consumersOf[s.ID]
+}
+
+// UnevenSources returns the sources that reach some binary operator
+// through paths of different operator depth (nil when there are none).
+// The engine propagates a batch breadth-first, one depth level of the
+// whole batch at a time, so for such a source a later tuple of a batch
+// would reach the operator along the shorter path before an earlier tuple
+// arrives along the longer one. Batches of these sources must be drained
+// one tuple at a time to give per-tuple results.
+func (p *Physical) UnevenSources() map[string]bool {
+	var out map[string]bool
+	for name, src := range p.sourceRef {
+		// depths(s) is the set of path lengths from src to s, one bit
+		// per length (lengths past 63 share the top bit).
+		memo := make(map[int]uint64)
+		var depths func(s *StreamRef) uint64
+		depths = func(s *StreamRef) uint64 {
+			if s == src {
+				return 1
+			}
+			if isSource(s) {
+				return 0
+			}
+			d, ok := memo[s.ID]
+			if !ok {
+				for _, in := range s.Producer.In {
+					d |= depths(in)
+				}
+				d = d<<1 | d&(1<<63)
+				memo[s.ID] = d
+			}
+			return d
+		}
+		for _, n := range p.Nodes {
+			if n.Kind.Arity() != 2 {
+				continue
+			}
+			for _, o := range n.Ops {
+				if bits.OnesCount64(depths(o.In[0])|depths(o.In[1])) > 1 {
+					if out == nil {
+						out = make(map[string]bool)
+					}
+					out[name] = true
+				}
+			}
+		}
+	}
+	return out
 }
 
 // OutputOf returns the output stream of query id (nil if unknown).

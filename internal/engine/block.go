@@ -99,8 +99,14 @@ func (e *Engine) blockBatch(si sourceInfo, ts []int64, vals [][]int64) bool {
 // cols[a][i] — and drains the plan. This is the zero-copy ingest entry:
 // the blocks borrow the caller's slices for the duration of the drain (the
 // engine copies at the block→scalar boundary and never retains them), so
-// the caller regains ownership when PushColumns returns. The ordering
-// caveats of PushBatch apply.
+// the caller regains ownership when PushColumns returns.
+//
+// The rows of one call propagate breadth-first as one batch, also for a
+// source PushBatch drains one tuple at a time: through a binary m-op fed
+// along paths of different depth, a row reached along the shorter path
+// does not yet see the state the call's earlier rows build along the
+// longer one. Rows that must see each other's effects (a µ instance and a
+// later event of its key, say) belong in separate calls.
 //
 // When the vectorized path is off (SetBlockSize < 0) or the source's
 // channel membership has spilled past the inline word, the batch falls

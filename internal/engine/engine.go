@@ -68,6 +68,10 @@ type sink struct {
 type sourceInfo struct {
 	edge   *core.Edge
 	member *bitset.Set // nil for plain (non-channel) source edges
+	// perTuple marks a source the plan reads through paths of different
+	// depth (core.Physical.UnevenSources): PushBatch drains its tuples
+	// one at a time.
+	perTuple bool
 }
 
 type namedSource struct {
@@ -264,13 +268,14 @@ func (e *Engine) rebuildRoutes() {
 	// membership each plain Push must attach precomputed.
 	e.sources = make(map[string]sourceInfo)
 	e.srcList = e.srcList[:0]
+	uneven := p.UnevenSources()
 	for name := range p.Catalog {
 		s := p.SourceStream(name)
 		if s == nil {
 			continue
 		}
 		edge, pos := p.EdgeOf(s)
-		si := sourceInfo{edge: edge}
+		si := sourceInfo{edge: edge, perTuple: uneven[name]}
 		if edge.IsChannel() {
 			si.member = bitset.Singleton(pos)
 		}
@@ -582,12 +587,13 @@ func (e *Engine) PushChannel(source string, t *stream.Tuple) error {
 //
 // Batching amortizes the per-call injection overhead and keeps the drain
 // loop hot across the batch. Per-query result streams are identical to
-// pushing the tuples one by one whenever every multi-input m-op reads this
-// source through paths of equal operator depth (true of single-path plans
-// and of the paper's workloads); sources feeding one m-op through paths of
-// differing depth should stick to Push. Within a batch, OnResult calls for
-// queries at different pipeline depths may interleave differently than
-// under per-tuple Push (propagation is breadth-first across the batch).
+// pushing the tuples one by one. Propagation is breadth-first across the
+// batch, which gives per-tuple results only when every binary m-op reads
+// the source through paths of equal operator depth; the tuples of any
+// other source (core.Physical.UnevenSources, marked at lowering and after
+// every ApplyDelta) are drained one at a time. Within a batch, OnResult
+// calls for queries at different pipeline depths may interleave
+// differently than under per-tuple Push.
 func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 	if len(ts) != len(vals) {
 		return fmt.Errorf("engine: PushBatch length mismatch: %d timestamps, %d value rows", len(ts), len(vals))
@@ -595,6 +601,13 @@ func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 	si, ok := e.lookupSource(source)
 	if !ok {
 		return fmt.Errorf("engine: source %q not in plan", source)
+	}
+	if si.perTuple {
+		for i := range ts {
+			e.enqueue(si.edge, &stream.Tuple{TS: ts[i], Vals: vals[i], Member: si.member})
+			e.drain()
+		}
+		return nil
 	}
 	if e.blockBatch(si, ts, vals) {
 		e.drain()

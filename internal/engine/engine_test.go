@@ -7,7 +7,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/expr"
+	"repro/internal/rules"
 	"repro/internal/stream"
+	"repro/internal/workload"
 )
 
 func catalog() map[string]core.SourceDecl {
@@ -253,5 +255,59 @@ func TestNodeStats(t *testing.T) {
 	}
 	if stats[0].Processed != 10 || stats[0].Emitted != 4 {
 		t.Fatalf("processed=%d emitted=%d, want 10/4", stats[0].Processed, stats[0].Emitted)
+	}
+}
+
+// The hybrid workload reads CPU through paths of different depth (µ's
+// instances through the start condition, its events straight from the
+// smoothing aggregate), so PushBatch must drain CPU batches one tuple at a
+// time: batches spanning many seconds then give the per-tuple results.
+func TestPushBatchUnevenSourceMatchesPush(t *testing.T) {
+	events := workload.PerfTrace{NumProcs: 16, Seconds: 200, Seed: 3}.Events()
+	build := func() *core.Physical {
+		p := core.NewPhysical(workload.PerfCatalog())
+		for _, q := range workload.DefaultHybrid(4, 0.5).Queries() {
+			if err := p.AddQuery(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rules.Optimize(p, rules.Options{Channels: true}); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	want := results(t, build(), func(e *engine.Engine) {
+		for _, ev := range events {
+			if err := e.Push("CPU", ev.Tuple); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	got := results(t, build(), func(e *engine.Engine) {
+		const batch = 100
+		for off := 0; off < len(events); off += batch {
+			var ts []int64
+			var vals [][]int64
+			for _, ev := range events[off:min(off+batch, len(events))] {
+				ts = append(ts, ev.Tuple.TS)
+				vals = append(vals, ev.Tuple.Vals)
+			}
+			if err := e.PushBatch("CPU", ts, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if len(want) == 0 {
+		t.Fatal("hybrid workload produced no results")
+	}
+	for q, w := range want {
+		if len(got[q]) != len(w) {
+			t.Fatalf("query %d: PushBatch gave %d results, Push %d", q, len(got[q]), len(w))
+		}
+		for i := range w {
+			if got[q][i] != w[i] {
+				t.Fatalf("query %d: result %d: %q, want %q", q, i, got[q][i], w[i])
+			}
+		}
 	}
 }

@@ -437,14 +437,21 @@ func (p Not2) Key() string { return "!" + p.P.Key() }
 // AI (active instance) index (§4.3, Workload 2): stored tuples are hashed
 // on l[a] and probed with r[b].
 func EqJoinParts(p Pred2) (lattr, rattr int, residual Pred2, ok bool) {
+	return EqJoinPartsWhere(p, nil)
+}
+
+// EqJoinPartsWhere is EqJoinParts restricted to the equi-join conjuncts
+// accept approves; a nil accept approves every one.
+func EqJoinPartsWhere(p Pred2, accept func(AttrCmp2) bool) (lattr, rattr int, residual Pred2, ok bool) {
+	eq := func(ac AttrCmp2) bool { return ac.Op == Eq && (accept == nil || accept(ac)) }
 	switch q := p.(type) {
 	case AttrCmp2:
-		if q.Op == Eq {
+		if eq(q) {
 			return q.L, q.R, True2{}, true
 		}
 	case And2:
 		for i, part := range q.Parts {
-			if ac, isAC := part.(AttrCmp2); isAC && ac.Op == Eq {
+			if ac, isAC := part.(AttrCmp2); isAC && eq(ac) {
 				rest := make([]Pred2, 0, len(q.Parts)-1)
 				rest = append(rest, q.Parts[:i]...)
 				rest = append(rest, q.Parts[i+1:]...)

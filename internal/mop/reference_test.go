@@ -304,10 +304,12 @@ func TestSeqAgainstReference(t *testing.T) {
 
 // --- Cayuga µ reference ---------------------------------------------------
 
-// refMu implements the µ semantics over (start, last) instances: rebind on
-// matching key with strictly increasing value (emitting each extension),
-// keep on key mismatch, delete otherwise or on expiry.
-func refMu(feed []refEvent, window int64, startMax int64) []string {
+// refMu implements the µ semantics over (start, last) instances started by
+// S tuples with b < startMax: per T event within the window, an instance
+// whose rebind edge holds extends (emitting start ++ event) and, if its
+// filter edge holds too, also stays behind unchanged as a copy; one whose
+// only the filter edge holds stays; any other is deleted, as on expiry.
+func refMu(feed []refEvent, window int64, startMax int64, rebind, filter func(last, ev *stream.Tuple) bool) []string {
 	var out []string
 	type instance struct {
 		start *stream.Tuple
@@ -322,7 +324,7 @@ func refMu(feed []refEvent, window int64, startMax int64) []string {
 			}
 			continue
 		}
-		for _, in := range insts {
+		for _, in := range insts[:len(insts):len(insts)] {
 			if in.dead {
 				continue
 			}
@@ -330,17 +332,18 @@ func refMu(feed []refEvent, window int64, startMax int64) []string {
 				in.dead = true
 				continue
 			}
-			sameKey := in.last.Vals[0] == ev.t.Vals[0]
-			rising := in.last.Vals[1] < ev.t.Vals[1]
+			matched, kept := rebind(in.last, ev.t), filter(in.last, ev.t)
 			switch {
-			case sameKey && rising:
+			case matched:
+				if kept {
+					insts = append(insts, &instance{start: in.start, last: in.last})
+				}
 				in.last = ev.t
 				j := &stream.Tuple{TS: ev.t.TS}
 				j.Vals = append(j.Vals, in.start.Vals...)
 				j.Vals = append(j.Vals, ev.t.Vals...)
 				out = append(out, j.ContentKey())
-			case !sameKey:
-				// filter edge: stays
+			case kept:
 			default:
 				in.dead = true
 			}
@@ -350,31 +353,48 @@ func refMu(feed []refEvent, window int64, startMax int64) []string {
 	return out
 }
 
+// µ chains against the reference, with the key l[2] = r[0] in the rebound
+// "last" slot. With the negated-key filter a key mismatch keeps the
+// instance (the engine indexes the key, core.MuKey); with the filter
+// l[3] < r[1] a mismatch must still evaluate it and may delete the
+// instance, so the engine scans every instance.
 func TestMuAgainstReference(t *testing.T) {
-	f := func(seed int64, startRaw, winRaw uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		startMax := int64(startRaw)%4 + 1
-		window := int64(winRaw)%30 + 1
-		feed := randFeed(r, 100, 4)
-		sel := core.SelectL(expr.ConstCmp{Attr: 1, Op: expr.Lt, C: startMax}, core.Scan("S"))
-		rebind := expr.NewAnd2(
-			expr.AttrCmp2{L: 2, Op: expr.Eq, R: 0}, // last key == event key
-			expr.AttrCmp2{L: 3, Op: expr.Lt, R: 1}, // last value < event value
-		)
-		filter := expr.Not2{P: expr.AttrCmp2{L: 2, Op: expr.Eq, R: 0}}
-		got := runSingle(t, core.MuL(rebind, filter, window, sel, core.Scan("T")), feed, true)
-		want := refMu(feed, window, startMax)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
+	rising := func(last, ev *stream.Tuple) bool { return last.Vals[1] < ev.Vals[1] }
+	sameKey := func(last, ev *stream.Tuple) bool { return last.Vals[0] == ev.Vals[0] }
+	rebind := expr.NewAnd2(
+		expr.AttrCmp2{L: 2, Op: expr.Eq, R: 0}, // last key == event key
+		expr.AttrCmp2{L: 3, Op: expr.Lt, R: 1}, // last value < event value
+	)
+	for _, tc := range []struct {
+		name   string
+		filter expr.Pred2
+		ref    func(last, ev *stream.Tuple) bool
+	}{
+		{"negated key filter", expr.Not2{P: expr.AttrCmp2{L: 2, Op: expr.Eq, R: 0}},
+			func(last, ev *stream.Tuple) bool { return !sameKey(last, ev) }},
+		{"filter not key-safe", expr.AttrCmp2{L: 3, Op: expr.Lt, R: 1}, rising},
+	} {
+		f := func(seed int64, startRaw, winRaw uint8) bool {
+			r := rand.New(rand.NewSource(seed))
+			startMax := int64(startRaw)%4 + 1
+			window := int64(winRaw)%30 + 1
+			feed := randFeed(r, 100, 4)
+			sel := core.SelectL(expr.ConstCmp{Attr: 1, Op: expr.Lt, C: startMax}, core.Scan("S"))
+			got := runSingle(t, core.MuL(rebind, tc.filter, window, sel, core.Scan("T")), feed, true)
+			want := refMu(feed, window, startMax,
+				func(last, ev *stream.Tuple) bool { return sameKey(last, ev) && rising(last, ev) }, tc.ref)
+			if len(got) != len(want) {
 				return false
 			}
+			for i := range got {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 	}
 }

@@ -41,10 +41,11 @@ type stateGroup struct {
 	filter expr.Pred2 // µ filter-edge predicate θf
 
 	// AI index [7,8]: instances hashed on the left attribute of an
-	// equi-join conjunct, probed with the right attribute.
-	hasEq        bool
+	// equi-join conjunct, probed with the right attribute. For µ the
+	// conjunct must be a core.MuKey (its left attribute never changes and
+	// a key mismatch never deletes an instance); otherwise it stays in
+	// pred and every instance is scanned.
 	lAttr, rAttr int
-	hashStable   bool // lAttr refers to the start part (µ) or any attr (;)
 
 	// Insertion-time (FR-style) unary predicate on the arriving left tuple.
 	leftPred expr.Pred
@@ -206,12 +207,16 @@ func newSeqMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool, mu 
 				pred = g.extractLeftPred(pred, &info)
 			}
 			// Peel off the AI-indexable equi-join conjunct.
-			if la, ra, res, isEq := expr.EqJoinParts(pred); isEq {
-				g.hasEq, g.lAttr, g.rAttr = true, la, ra
-				g.hashStable = !mu || la < g.startArity
-				if g.hashStable {
-					g.hash = newHashIndex[*seqInst]()
+			var accept func(expr.AttrCmp2) bool
+			if mu {
+				accept = func(ac expr.AttrCmp2) bool {
+					_, ok := core.MuKey(o.Def, g.startArity, ac)
+					return ok
 				}
+			}
+			if la, ra, res, isEq := expr.EqJoinPartsWhere(pred, accept); isEq {
+				g.lAttr, g.rAttr = la, ra
+				g.hash = newHashIndex[*seqInst]()
 				pred = res
 			}
 			g.pred = pred
@@ -430,25 +435,18 @@ func (m *SeqMOp) matchGroup(g *stateGroup, t *stream.Tuple, emit Emit) {
 	} else {
 		n := len(g.insts)
 		for i := 0; i < n; i++ {
-			inst := g.insts[i]
-			if inst.dead {
-				continue
+			if inst := g.insts[i]; !inst.dead {
+				g.matchInst(inst, t, m.ce, emit)
 			}
-			if g.hasEq && inst.state.Vals[g.lAttr] != t.Vals[g.rAttr] {
-				// Unstable-hash µ equi-join: evaluated inline.
-				continue
-			}
-			g.matchInst(inst, t, m.ce, emit)
 		}
 	}
 	g.maybeCompact()
 }
 
-// matchInst applies the group's edge predicates to one instance.
+// matchInst applies the group's edge predicates to one instance. With an
+// AI hash the instance came from the event's key bucket, so the peeled
+// equi-join conjunct holds.
 func (g *stateGroup) matchInst(inst *seqInst, t *stream.Tuple, ce *chanEmitter, emit Emit) {
-	if g.hash != nil && g.hasEq && inst.state.Vals[g.lAttr] != t.Vals[g.rAttr] {
-		return
-	}
 	matched := g.pred.Eval2(inst.state, t)
 	if !g.mu {
 		if !matched {

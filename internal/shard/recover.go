@@ -159,7 +159,6 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 	drop := func(i int) {
 		e.workers = append(e.workers[:i], e.workers[i+1:]...)
 		e.pending = append(e.pending[:i], e.pending[i+1:]...)
-		e.pendingRows = append(e.pendingRows[:i], e.pendingRows[i+1:]...)
 		e.wal = append(e.wal[:i], e.wal[i+1:]...)
 		e.walSeq = append(e.walSeq[:i], e.walSeq[i+1:]...)
 		e.sent = append(e.sent[:i], e.sent[i+1:]...)

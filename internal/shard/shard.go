@@ -6,8 +6,9 @@
 // Each shard owns a full engine.Engine lowered from the shared (read-only)
 // plan and a dedicated worker goroutine draining its queue. Ingestion
 // appends routed tuples to per-shard pending buffers; a buffer is handed
-// to its worker as one batch (amortizing the cross-goroutine transfer),
-// and the worker replays it through the engine's batched ingestion path in
+// to its worker as one batch (amortizing the cross-goroutine transfer)
+// once BatchSize tuples have gathered, or when PushColumns returns, and
+// the worker replays it through the engine's batched ingestion path in
 // arrival order, grouping maximal same-source runs into PushBatch calls.
 //
 // Results are merged with per-shard dense counters; queries whose output
@@ -46,8 +47,9 @@ var ErrShardDead = errors.New("shard: worker dead; RecoverShard or restore from 
 type Config struct {
 	// Shards is the number of engine replicas (default 1).
 	Shards int
-	// BatchSize is the number of tuples accumulated per shard before the
-	// buffer is handed to the worker (default 256).
+	// BatchSize is the number of Push/PushBatch tuples accumulated per
+	// shard before the buffer is handed to the worker (default 256).
+	// PushColumns hands its runs over before it returns, whatever the size.
 	BatchSize int
 	// QueueDepth bounds the batches buffered per shard; a full queue
 	// applies backpressure to pushers (default 8).
@@ -201,10 +203,6 @@ type Engine struct {
 	dead    []bool
 	numDead int
 
-	// pendingRows[i] is the row count of pending[i] (a columnar run entry
-	// stands for many rows); batch flushing triggers on rows, not entries.
-	pendingRows []int
-
 	// numUnreach counts remote replicas currently unreachable (transient
 	// outages). It is an atomic, not mu-guarded state: the OnDown callback
 	// that maintains it can fire from a worker goroutine's replayBatch
@@ -266,18 +264,17 @@ func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []clust
 		part = core.AnalyzePartition(p)
 	}
 	e := &Engine{
-		plan:        p,
-		part:        part,
-		cfg:         cfg,
-		srcs:        make(map[string]srcRoute),
-		pending:     make([][]entry, cfg.Shards),
-		pendingRows: make([]int, cfg.Shards),
-		base:        make(map[int]int64),
-		busyBase:    make([]int64, cfg.Shards),
-		wal:         make([][]walRec, cfg.Shards),
-		walSeq:      make([]int64, cfg.Shards),
-		sent:        make([]int64, cfg.Shards),
-		dead:        make([]bool, cfg.Shards),
+		plan:     p,
+		part:     part,
+		cfg:      cfg,
+		srcs:     make(map[string]srcRoute),
+		pending:  make([][]entry, cfg.Shards),
+		base:     make(map[int]int64),
+		busyBase: make([]int64, cfg.Shards),
+		wal:      make([][]walRec, cfg.Shards),
+		walSeq:   make([]int64, cfg.Shards),
+		sent:     make([]int64, cfg.Shards),
+		dead:     make([]bool, cfg.Shards),
 	}
 	e.batchPool.New = func() any { s := make([]entry, 0, cfg.BatchSize); return &s }
 	// Source routes (and the source-name table the handshake ships) must
@@ -572,12 +569,13 @@ func (e *Engine) shardOf(sr srcRoute, vals []int64) int {
 }
 
 // append adds one entry to a shard's pending buffer, handing the buffer to
-// the worker when its row count fills a batch. Called with mu held; the
-// queue send may block for backpressure.
+// the worker once it holds BatchSize entries or at a column run: the run
+// already is the caller's batch and replays as one block, so holding it
+// for more rows would only add latency. Called with mu held; the queue
+// send may block for backpressure.
 func (e *Engine) append(shard int, en entry) {
 	e.pending[shard] = append(e.pending[shard], en)
-	e.pendingRows[shard] += en.rows()
-	if e.pendingRows[shard] >= e.cfg.BatchSize {
+	if en.run != nil || len(e.pending[shard]) >= e.cfg.BatchSize {
 		e.stageShard(shard)
 		e.deliverWAL(shard, true)
 	}
@@ -600,7 +598,6 @@ func (e *Engine) stageShard(shard int) {
 	}
 	b := e.pending[shard]
 	e.pending[shard] = e.takeBatch()
-	e.pendingRows[shard] = 0
 	e.pruneWAL(shard)
 	e.walSeq[shard]++
 	e.wal[shard] = append(e.wal[shard], walRec{seq: e.walSeq[shard], entries: b})
@@ -821,9 +818,11 @@ func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 // one run entry per shard (sharing the slices), a partitioned source
 // scatters rows into per-shard runs, and the runs travel through the WAL
 // and worker queues as single entries until each replica engine feeds them
-// to its vectorized path. The engine takes ownership of ts and cols (they
-// stay referenced until the workers replay and the WAL prunes them). The
-// failure contract of Push applies.
+// to its vectorized path. The runs are handed to the workers before
+// PushColumns returns, with any tuples still pending from Push or
+// PushBatch, so their results arrive without a Drain. The engine takes
+// ownership of ts and cols (they stay referenced until the workers replay
+// and the WAL prunes them). The failure contract of Push applies.
 func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	for a, col := range cols {
 		if len(col) != len(ts) {

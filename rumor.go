@@ -390,12 +390,11 @@ func (s *System) Push(streamName string, ts int64, vals ...int64) error {
 // vals[i]; timestamps must be non-decreasing and must not precede tuples
 // pushed later on other sources that should be processed first — batching
 // trades per-call overhead for coarser interleaving with other sources.
-// Per-query result streams match per-tuple Push whenever every
-// multi-input operator reads this source through paths of equal operator
-// depth (true of typical plans; a source that feeds one join/sequence
-// through paths of differing depth should stick to Push), though OnResult
-// calls for different queries may interleave differently within a batch.
-// The engine takes ownership of the vals slices.
+// Per-query result streams match per-tuple Push: a source that feeds one
+// join/sequence through paths of differing operator depth is drained one
+// tuple at a time. OnResult calls for different queries may interleave
+// differently within a batch. The engine takes ownership of the vals
+// slices.
 func (s *System) PushBatch(streamName string, ts []int64, vals [][]int64) error {
 	if s.eng == nil {
 		return fmt.Errorf("rumor: call Optimize before PushBatch")
@@ -407,8 +406,10 @@ func (s *System) PushBatch(streamName string, ts []int64, vals [][]int64) error 
 // cols[a][i] (one slice per attribute). This is the zero-copy entry to the
 // vectorized execution path — the engine wraps the slices into blocks for
 // the duration of the drain and returns ownership to the caller, never
-// exploding the batch into per-row tuples. The ordering caveats of
-// PushBatch apply.
+// exploding the batch into per-row tuples. The rows propagate as one
+// batch even for a source PushBatch drains one tuple at a time, so rows
+// that must see each other's effects through a join/sequence fed along
+// paths of differing depth belong in separate calls.
 func (s *System) PushColumns(streamName string, ts []int64, cols [][]int64) error {
 	if s.eng == nil {
 		return fmt.Errorf("rumor: call Optimize before PushColumns")

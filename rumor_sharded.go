@@ -15,10 +15,11 @@ import (
 type ShardConfig struct {
 	// Shards is the number of engine replicas (default 1).
 	Shards int
-	// BatchSize is the number of tuples accumulated per shard before the
-	// buffer is handed to the shard's worker goroutine (default 256).
-	// Larger batches amortize the cross-goroutine transfer at the cost of
-	// result latency.
+	// BatchSize is the number of Push/PushBatch tuples accumulated per
+	// shard before the buffer is handed to the shard's worker goroutine
+	// (default 256). Larger batches amortize the cross-goroutine transfer
+	// at the cost of result latency. PushColumns does not wait for it: it
+	// hands its runs over before it returns.
 	BatchSize int
 	// QueueDepth bounds the batches buffered per shard; a full queue
 	// applies backpressure to pushers (default 8).
@@ -339,7 +340,9 @@ func (s *ShardedSystem) PushBatch(streamName string, ts []int64, vals [][]int64)
 // PushColumns injects a batch given column-major — ts[i] pairs with
 // cols[a][i] — keeping it columnar through the router, the per-shard WAL,
 // and the worker queues until each replica engine's vectorized path. The
-// system takes ownership of ts and cols.
+// runs are handed to the shard workers before PushColumns returns, so
+// their results arrive without a Drain. The system takes ownership of ts
+// and cols. The ordering contract of System.PushColumns applies.
 func (s *ShardedSystem) PushColumns(streamName string, ts []int64, cols [][]int64) error {
 	if s.sh == nil {
 		return fmt.Errorf("rumor: call Optimize before PushColumns")
