@@ -3,6 +3,7 @@ package automaton
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/stream"
 )
@@ -151,19 +152,26 @@ func (e *Engine) AddQuery(q *Query) (int, error) {
 		}
 	}
 
-	// Walk the remaining stages, sharing identical prefixes.
+	// Walk the remaining stages, sharing identical prefixes; arity tracks
+	// the width of the tuples each stage receives from its predecessor.
 	prefix := start.stageKey()
 	children := edge.children
 	orderSlot := &edge.order
+	arity := e.schemas[start.Input].Arity()
 	for i := 1; i < len(q.Stages); i++ {
 		sg := q.Stages[i]
 		prefix += "→" + sg.stageKey()
 		st := children[prefix]
 		if st == nil {
-			st = e.newState(prefix, sg)
+			st = e.newState(prefix, sg, arity)
 			children[prefix] = st
 			*orderSlot = append(*orderSlot, st)
 			e.registerAN(st)
+		}
+		if sg.FMap != nil {
+			arity = len(sg.FMap.Cols)
+		} else {
+			arity += st.rightArity
 		}
 		if i == len(q.Stages)-1 {
 			st.edges[0].queries = append(st.edges[0].queries, id)
@@ -177,10 +185,11 @@ func (e *Engine) AddQuery(q *Query) (int, error) {
 	return id, nil
 }
 
-// newState compiles one stage: the edge predicate is peeled in order —
-// first the AN-indexable right constant, then the AI-indexable equi-join
-// conjunct — leaving the residual evaluated per (instance, event).
-func (e *Engine) newState(key string, sg Stage) *state {
+// newState compiles one stage whose instances start from tuples of arity
+// lArity: the edge predicate is peeled in order — first the AN-indexable
+// right constant, then the AI-indexable equi-join conjunct — leaving the
+// residual evaluated per (instance, event).
+func (e *Engine) newState(key string, sg Stage, lArity int) *state {
 	st := &state{
 		key:        key,
 		kind:       sg.Kind,
@@ -197,8 +206,20 @@ func (e *Engine) newState(key string, sg Stage) *state {
 			pred = res
 		}
 	}
+	// A µ key mismatch skips the instance untouched, which is sound only
+	// for the conjuncts core.MuKey accepts (a filter that keeps every
+	// instance a different key meets); any other equi-join conjunct stays
+	// in the residual, so a mismatch still reaches the filter edge.
+	var accept func(expr.AttrCmp2) bool
+	if sg.Kind == StageMu {
+		d := core.MuDef(pred, sg.Filter, sg.Window)
+		accept = func(ac expr.AttrCmp2) bool {
+			_, ok := core.MuKey(d, lArity, ac)
+			return ok
+		}
+	}
 	fe := &fedge{window: sg.Window}
-	if la, ra, res, ok := expr.EqJoinParts(pred); ok {
+	if la, ra, res, ok := expr.EqJoinPartsWhere(pred, accept); ok {
 		fe.hasEq, fe.lAttr, fe.rAttr = true, la, ra
 		pred = res
 		// The AI hash is stable for ; states; for µ the instance attribute

@@ -6,18 +6,16 @@ import (
 	"strings"
 	"time"
 
+	rumor "repro"
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/live"
-	"repro/internal/rules"
-	"repro/internal/shard"
 	"repro/internal/workload"
 	"repro/internal/zipf"
 )
 
-// The churn figure measures the live query lifecycle (package live): with
-// a base query population running, queries are continuously added and
-// removed — definitions drawn from the Zipf-skewed workload generators,
+// The churn figure measures the live query lifecycle through the public
+// AddQueryLive/RemoveQuery API of System and ShardedSystem: with a base
+// query population running, queries are continuously added and removed —
+// definitions drawn from the Zipf-skewed workload generators,
 // removal victims Zipf-picked from the active transients — while the
 // event stream keeps flowing. Reported per workload: per-operation add
 // and remove latency (incremental rule run + delta splice + state
@@ -53,74 +51,16 @@ type ChurnRow struct {
 	MinSlotRatio float64
 }
 
-// churnTarget abstracts the two runtimes under churn.
-type churnTarget interface {
-	push(ev workload.Event) error
-	sync() error // establish quiescence before reading the clock
-	applyAdd(m *live.Maintainer, q *core.Query) error
-	applyRemove(m *live.Maintainer, queryID int) error
-}
-
-type engineTarget struct{ e *engine.Engine }
-
-func (t engineTarget) push(ev workload.Event) error {
-	return t.e.Push(ev.Source, ev.Tuple)
-}
-func (t engineTarget) sync() error { return nil }
-func (t engineTarget) applyAdd(m *live.Maintainer, q *core.Query) error {
-	d, err := m.AddQuery(q)
-	if err != nil {
-		return err
-	}
-	return live.Apply(d, t.e)
-}
-func (t engineTarget) applyRemove(m *live.Maintainer, queryID int) error {
-	d, err := m.RemoveQuery(queryID)
-	if err != nil {
-		return err
-	}
-	return live.Apply(d, t.e)
-}
-
-type shardTarget struct {
-	e    *shard.Engine
-	plan *core.Physical
-	part *core.PartitionPlan
-}
-
-func (t *shardTarget) push(ev workload.Event) error {
-	return t.e.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals)
-}
-func (t *shardTarget) sync() error { return t.e.Drain() }
-func (t *shardTarget) applyAdd(m *live.Maintainer, q *core.Query) error {
-	d, err := m.AddQuery(q)
-	if err != nil {
-		return err
-	}
-	part, err := core.ExtendPartition(t.plan, t.part)
-	if err != nil {
-		return err
-	}
-	if err := t.e.ApplyDelta(d, part, nil, nil); err != nil {
-		return err
-	}
-	t.part = part
-	return nil
-}
-func (t *shardTarget) applyRemove(m *live.Maintainer, queryID int) error {
-	d, err := m.RemoveQuery(queryID)
-	if err != nil {
-		return err
-	}
-	part, err := core.ExtendPartition(t.plan, t.part)
-	if err != nil {
-		part = t.part // keep superset routes; pruning is optional
-	}
-	if err := t.e.ApplyDelta(d, part, []int{queryID}, nil); err != nil {
-		return err
-	}
-	t.part = part
-	return nil
+// churnSystem is the public API surface the churn measurement drives; a
+// System and a ShardedSystem both provide it.
+type churnSystem interface {
+	DeclareStream(name, sharableLabel string, attrs ...string) error
+	AddQuery(name string, root *rumor.Logical) error
+	Optimize(opt rumor.Options) error
+	Push(streamName string, ts int64, vals ...int64) error
+	AddQueryLive(name string, root *rumor.Logical) error
+	RemoveQuery(name string) error
+	PlanInfo() rumor.PlanInfo
 }
 
 // churnRun drives one churn measurement: base queries planned up front,
@@ -135,54 +75,49 @@ func churnRun(catalog map[string]core.SourceDecl, base, pool []*core.Query,
 	if channels {
 		row.Mode += "/ch"
 	}
-	plan := core.NewPhysical(catalog)
-	for _, q := range base {
-		if err := plan.AddQuery(q); err != nil {
+	var sys churnSystem = rumor.New()
+	quiesce := func() error { return nil } // before reading the clock
+	if shards > 1 {
+		ss := rumor.NewSharded(rumor.ShardConfig{Shards: shards})
+		defer ss.Close()
+		sys, quiesce = ss, ss.Drain
+	}
+	for name, decl := range catalog {
+		if err := sys.DeclareStream(name, decl.Label, decl.Schema.Attrs...); err != nil {
 			return row, err
 		}
 	}
-	opts := rules.Options{Channels: channels}
-	if err := rules.Optimize(plan, opts); err != nil {
+	for _, q := range base {
+		if err := sys.AddQuery(q.Name, q.Root); err != nil {
+			return row, err
+		}
+	}
+	if err := sys.Optimize(rumor.Options{Channels: channels}); err != nil {
 		return row, err
 	}
-	var target churnTarget
-	var part *core.PartitionPlan
-	if shards > 1 {
-		part = core.AnalyzePartition(plan)
-		se, err := shard.New(plan, part, shard.Config{Shards: shards})
-		if err != nil {
-			return row, err
-		}
-		defer se.Close()
-		target = &shardTarget{e: se, plan: plan, part: part}
-	} else {
-		e, err := engine.New(plan)
-		if err != nil {
-			return row, err
-		}
-		target = engineTarget{e: e}
+	push := func(ev workload.Event) error {
+		return sys.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals...)
 	}
-	m := live.NewMaintainer(plan, opts)
 
 	warm := len(events) / 10
 	steadyN := (len(events) - warm) / 2
 	for _, ev := range events[:warm] {
-		if err := target.push(ev); err != nil {
+		if err := push(ev); err != nil {
 			return row, err
 		}
 	}
-	if err := target.sync(); err != nil {
+	if err := quiesce(); err != nil {
 		return row, err
 	}
 
 	// Steady phase: no churn.
 	start := time.Now()
 	for _, ev := range events[warm : warm+steadyN] {
-		if err := target.push(ev); err != nil {
+		if err := push(ev); err != nil {
 			return row, err
 		}
 	}
-	if err := target.sync(); err != nil {
+	if err := quiesce(); err != nil {
 		return row, err
 	}
 	row.SteadyEPS = rate(steadyN, time.Since(start))
@@ -212,7 +147,7 @@ func churnRun(catalog map[string]core.SourceDecl, base, pool []*core.Query,
 	var addDur, remDur []time.Duration
 	row.MinSlotRatio = 1
 	sampleWidth := func() {
-		st := plan.Stats()
+		st := sys.PlanInfo()
 		row.LiveSlots, row.TotalSlots = st.LiveSlots, st.TotalSlots
 		if st.TotalSlots > 0 {
 			if r := float64(st.LiveSlots) / float64(st.TotalSlots); r < row.MinSlotRatio {
@@ -224,7 +159,7 @@ func churnRun(catalog map[string]core.SourceDecl, base, pool []*core.Query,
 	start = time.Now()
 	sinceOp := 0
 	for _, ev := range churnEvents {
-		if err := target.push(ev); err != nil {
+		if err := push(ev); err != nil {
 			return row, err
 		}
 		sinceOp++
@@ -236,7 +171,7 @@ func churnRun(catalog map[string]core.SourceDecl, base, pool []*core.Query,
 			q := pool[nextAdd]
 			nextAdd++
 			t0 := time.Now()
-			if err := target.applyAdd(m, q); err != nil {
+			if err := sys.AddQueryLive(q.Name, q.Root); err != nil {
 				return row, fmt.Errorf("add %s: %w", q.Name, err)
 			}
 			addDur = append(addDur, time.Since(t0))
@@ -246,14 +181,14 @@ func churnRun(catalog map[string]core.SourceDecl, base, pool []*core.Query,
 			victim := active[i]
 			active = append(active[:i], active[i+1:]...)
 			t0 := time.Now()
-			if err := target.applyRemove(m, victim.ID); err != nil {
+			if err := sys.RemoveQuery(victim.Name); err != nil {
 				return row, fmt.Errorf("remove %s: %w", victim.Name, err)
 			}
 			remDur = append(remDur, time.Since(t0))
 		}
 		sampleWidth()
 	}
-	if err := target.sync(); err != nil {
+	if err := quiesce(); err != nil {
 		return row, err
 	}
 	row.ChurnEPS = rate(len(churnEvents), time.Since(start))
@@ -264,7 +199,7 @@ func churnRun(catalog map[string]core.SourceDecl, base, pool []*core.Query,
 	if row.SteadyEPS > 0 {
 		row.DipPct = 100 * (1 - row.ChurnEPS/row.SteadyEPS)
 	}
-	row.FinalQueries = len(plan.Queries)
+	row.FinalQueries = sys.PlanInfo().Queries
 	return row, nil
 }
 

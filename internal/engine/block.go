@@ -117,9 +117,9 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 			return fmt.Errorf("engine: PushColumns length mismatch: %d timestamps, %d rows in column %d", len(ts), len(col), a)
 		}
 	}
-	si, ok := e.lookupSource(source)
-	if !ok {
-		return fmt.Errorf("engine: source %q not in plan", source)
+	si, err := e.source(source, len(cols))
+	if err != nil {
+		return err
 	}
 	rows := e.blockSize()
 	memberWord, inline := memberWordOf(si)

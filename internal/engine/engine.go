@@ -72,6 +72,7 @@ type sourceInfo struct {
 	// depth (core.Physical.UnevenSources): PushBatch drains its tuples
 	// one at a time.
 	perTuple bool
+	arity    int // values per tuple, from the source schema
 }
 
 type namedSource struct {
@@ -91,6 +92,19 @@ func (e *Engine) lookupSource(name string) (sourceInfo, bool) {
 	}
 	si, ok := e.sources[name]
 	return si, ok
+}
+
+// source resolves a source name for a push of n values per tuple, failing
+// on an unknown source or (errors.Is) stream.ErrArity.
+func (e *Engine) source(name string, n int) (sourceInfo, error) {
+	si, ok := e.lookupSource(name)
+	if !ok {
+		return si, fmt.Errorf("engine: source %q not in plan", name)
+	}
+	if n != si.arity {
+		return si, stream.ArityError(name, si.arity, n)
+	}
+	return si, nil
 }
 
 // edgeRoute is the dense per-edge routing entry: the query sinks and the
@@ -275,7 +289,7 @@ func (e *Engine) rebuildRoutes() {
 			continue
 		}
 		edge, pos := p.EdgeOf(s)
-		si := sourceInfo{edge: edge, perTuple: uneven[name]}
+		si := sourceInfo{edge: edge, perTuple: uneven[name], arity: p.Catalog[name].Schema.Arity()}
 		if edge.IsChannel() {
 			si.member = bitset.Singleton(pos)
 		}
@@ -552,9 +566,9 @@ func replayKeep(o *core.Op, in *core.StreamRef) (func(t *stream.Tuple) bool, boo
 // If the source has been encoded into a channel and the tuple carries no
 // membership, the singleton membership of that source's position is added.
 func (e *Engine) Push(source string, t *stream.Tuple) error {
-	si, ok := e.lookupSource(source)
-	if !ok {
-		return fmt.Errorf("engine: source %q not in plan", source)
+	si, err := e.source(source, len(t.Vals))
+	if err != nil {
+		return err
 	}
 	if si.member != nil && t.Member == nil {
 		t = t.WithMember(si.member)
@@ -570,9 +584,9 @@ func (e *Engine) PushChannel(source string, t *stream.Tuple) error {
 	if t.Member == nil {
 		return fmt.Errorf("engine: PushChannel requires a membership component")
 	}
-	si, ok := e.lookupSource(source)
-	if !ok {
-		return fmt.Errorf("engine: source %q not in plan", source)
+	si, err := e.source(source, len(t.Vals))
+	if err != nil {
+		return err
 	}
 	e.enqueue(si.edge, t)
 	e.drain()
@@ -601,6 +615,11 @@ func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 	si, ok := e.lookupSource(source)
 	if !ok {
 		return fmt.Errorf("engine: source %q not in plan", source)
+	}
+	for _, v := range vals {
+		if len(v) != si.arity {
+			return stream.ArityError(source, si.arity, len(v))
+		}
 	}
 	if si.perTuple {
 		for i := range ts {

@@ -164,9 +164,10 @@ func (w *worker) close() { w.closeOnce.Do(func() { close(w.ch) }) }
 
 // srcRoute is the precomputed routing state of one source stream.
 type srcRoute struct {
-	id   int32
-	mode core.PartitionMode
-	attr int
+	id    int32
+	mode  core.PartitionMode
+	attr  int
+	arity int // values per tuple, from the source schema
 	// Multicast: shard bitmask per probed value, plus the mask every
 	// tuple gets. Values absent from the table reach only alwaysMask
 	// (possibly no shard at all — dropped at the router).
@@ -380,7 +381,7 @@ func (e *Engine) rebuildSourceRoutes(part *core.PartitionPlan) {
 		} else {
 			e.srcNames = append(e.srcNames, name)
 		}
-		sr := srcRoute{id: id, mode: route.Mode, attr: route.Attr}
+		sr := srcRoute{id: id, mode: route.Mode, attr: route.Attr, arity: e.plan.Catalog[name].Schema.Arity()}
 		if route.Mode == core.PartitionMulticast {
 			if e.cfg.Shards > 64 {
 				// Bitmask routing covers 64 shards; beyond that fall back
@@ -518,13 +519,6 @@ func (w *worker) run() {
 
 func (e *Engine) takeBatch() []entry {
 	return (*(e.batchPool.Get().(*[]entry)))[:0]
-}
-
-// lookupRoute resolves a source name. A map lookup is plenty here: the
-// routing path is dominated by the ingestion mutex.
-func (e *Engine) lookupRoute(name string) (srcRoute, bool) {
-	sr, ok := e.srcs[name]
-	return sr, ok
 }
 
 // partnerMask folds partner-key values into a shard bitmask, honouring the
@@ -728,23 +722,38 @@ func (e *Engine) Push(source string, ts int64, vals []int64) error {
 	defer e.mu.Unlock()
 	// Route lookup under the ingestion lock: live deltas rebuild the
 	// source routing tables at the ApplyDelta barrier.
-	sr, ok := e.lookupRoute(source)
-	if !ok {
-		return fmt.Errorf("shard: source %q not in plan", source)
-	}
-	if e.closed {
-		return fmt.Errorf("shard: engine closed")
-	}
-	if e.numDead > 0 {
-		return e.deadErrLocked()
-	}
-	if e.numUnreach.Load() > 0 {
-		if err := e.unreachableErr(); err != nil {
-			return err
-		}
+	sr, err := e.ingestRouteLocked(source, len(vals))
+	if err != nil {
+		return err
 	}
 	e.route(sr, ts, vals)
 	return nil
+}
+
+// ingestRouteLocked resolves a source for a push of n values per tuple
+// (n < 0 skips the arity check) and applies the failure contract of Push.
+// Called with mu held. A map lookup is plenty here: the routing path is
+// dominated by the ingestion mutex.
+func (e *Engine) ingestRouteLocked(source string, n int) (srcRoute, error) {
+	sr, ok := e.srcs[source]
+	if !ok {
+		return sr, fmt.Errorf("shard: source %q not in plan", source)
+	}
+	if n >= 0 && n != sr.arity {
+		return sr, stream.ArityError(source, sr.arity, n)
+	}
+	if e.closed {
+		return sr, fmt.Errorf("shard: engine closed")
+	}
+	if e.numDead > 0 {
+		return sr, e.deadErrLocked()
+	}
+	if e.numUnreach.Load() > 0 {
+		if err := e.unreachableErr(); err != nil {
+			return sr, err
+		}
+	}
+	return sr, nil
 }
 
 // route appends one tuple to its shard(s). Called with mu held.
@@ -792,19 +801,13 @@ func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	sr, ok := e.lookupRoute(source)
-	if !ok {
-		return fmt.Errorf("shard: source %q not in plan", source)
+	sr, err := e.ingestRouteLocked(source, -1)
+	if err != nil {
+		return err
 	}
-	if e.closed {
-		return fmt.Errorf("shard: engine closed")
-	}
-	if e.numDead > 0 {
-		return e.deadErrLocked()
-	}
-	if e.numUnreach.Load() > 0 {
-		if err := e.unreachableErr(); err != nil {
-			return err
+	for _, v := range vals {
+		if len(v) != sr.arity {
+			return stream.ArityError(source, sr.arity, len(v))
 		}
 	}
 	for i := range ts {
@@ -834,20 +837,9 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	sr, ok := e.lookupRoute(source)
-	if !ok {
-		return fmt.Errorf("shard: source %q not in plan", source)
-	}
-	if e.closed {
-		return fmt.Errorf("shard: engine closed")
-	}
-	if e.numDead > 0 {
-		return e.deadErrLocked()
-	}
-	if e.numUnreach.Load() > 0 {
-		if err := e.unreachableErr(); err != nil {
-			return err
-		}
+	sr, err := e.ingestRouteLocked(source, len(cols))
+	if err != nil {
+		return err
 	}
 	e.routeColumns(sr, ts, cols)
 	return nil
@@ -1254,14 +1246,19 @@ func (e *Engine) applyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 	// unsplice — for local replicas such errors are structurally
 	// unreachable for well-formed plans; for remote replicas a lost worker
 	// mid-splice lands here too — so the engine is poisoned rather than
-	// left inconsistent.
+	// left inconsistent. The splice grows (and a state replay bumps) each
+	// replica's result counters, so it runs under statsMu: ResultCount
+	// stays safe against concurrent maintenance.
 	sh := &deltaShipment{d: d, names: e.projectedSrcNamesLocked()}
+	e.statsMu.Lock()
 	for i, w := range e.workers {
 		if err := w.rep.applyDelta(e.plan, sh); err != nil {
+			e.statsMu.Unlock()
 			e.poisonLocked()
 			return fmt.Errorf("shard %d: delta splice failed, engine disabled: %w", i, err)
 		}
 	}
+	e.statsMu.Unlock()
 	if rebalance {
 		if _, err := e.migrateStateLocked(e.registriesLocked(), e.part.OpSideDists(e.plan), part); err != nil {
 			return err

@@ -8,6 +8,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -70,6 +71,7 @@ func GetTuple(ts int64, n int) *Tuple {
 // Vals array exclusively: no other goroutine, m-op buffer, queue, or
 // shallow copy (WithMember shares Vals) may still reference either, since
 // the value capacity is recycled into future GetTuple results.
+//
 //rumor:noalloc
 func (t *Tuple) Release() {
 	t.Member = nil
@@ -104,6 +106,7 @@ func (t *Tuple) WithMember(m *bitset.Set) *Tuple {
 
 // ContentEqual reports whether two tuples have the same timestamp and
 // attribute values (membership is ignored; it is identity, not content).
+//
 //rumor:noalloc
 func (t *Tuple) ContentEqual(o *Tuple) bool {
 	if t.TS != o.TS || len(t.Vals) != len(o.Vals) {
@@ -128,6 +131,7 @@ const (
 // ignored). It replaces string-built keys on hot comparison paths: equal
 // contents always hash equal, and collisions are as unlikely as for any
 // 64-bit hash.
+//
 //rumor:noalloc
 func (t *Tuple) ContentHash() uint64 {
 	h := uint64(fnvOffset)
@@ -197,6 +201,16 @@ func MustSchema(name string, attrs ...string) *Schema {
 
 // Arity returns the number of attributes.
 func (s *Schema) Arity() int { return len(s.Attrs) }
+
+// ErrArity reports pushed values whose count differs from the arity of
+// their source stream's schema.
+var ErrArity = errors.New("arity mismatch")
+
+// ArityError returns the ErrArity-wrapping error for got values pushed to
+// a source of arity want.
+func ArityError(source string, want, got int) error {
+	return fmt.Errorf("%w: source %q has %d attributes, got %d values", ErrArity, source, want, got)
+}
 
 // Index returns the position of attribute name, or -1 if absent.
 func (s *Schema) Index(name string) int {

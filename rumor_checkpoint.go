@@ -28,10 +28,11 @@ import (
 // removes items, so each group side is exported in full and immediately
 // re-imported in place — a merge into the emptied store that preserves
 // order exactly — while the payload survives to be encoded. The system
-// must be quiescent: System.Checkpoint relies on the caller not pushing
-// concurrently (System is not thread-safe); ShardedSystem.Checkpoint takes
-// the same batch-queue barrier as live deltas, so concurrent pushers just
-// block for the duration.
+// must be quiescent: a System relies on its one goroutine not pushing
+// meanwhile; a ShardedSystem takes the same batch-queue barrier as live
+// deltas, so concurrent pushers just block for the duration. Both types
+// write through one Checkpoint and rebuild their books through one
+// restore; only the executor's snapshot and state import differ.
 //
 // A sharded checkpoint records payloads per replica. Restoring into the
 // same shard count is positional (keyed placement, the routing overlay,
@@ -95,152 +96,60 @@ func frozenNames(removed map[string]int64) []wire.NamedCount {
 }
 
 // Checkpoint writes a full snapshot of the optimized system to w. The
-// caller must not Push concurrently. The snapshot is self-contained:
-// Restore rebuilds an equivalent system with identical plan shape, query
-// IDs, result counts, and operator state.
-func (s *System) Checkpoint(w io.Writer) error {
-	if s.eng == nil {
-		return fmt.Errorf("rumor: call Optimize before Checkpoint")
+// snapshot is self-contained: Restore (RestoreSharded for a
+// ShardedSystem) rebuilds an equivalent system with identical plan shape,
+// query IDs, result counts, and operator state. It is serialized against
+// other maintenance operations. A System's caller must not Push
+// concurrently; a ShardedSystem captures its replicas at the same
+// batch-queue barrier as a live delta — concurrent pushers block for the
+// duration — and also records the partition plan (routing-table version
+// and key-placement overlay included).
+func (f *front) Checkpoint(w io.Writer) error {
+	if f.exec == nil {
+		return errNotOptimized("Checkpoint")
 	}
+	f.churnMu.Lock()
+	defer f.churnMu.Unlock()
 	if err := faultpoint.Error("checkpoint.write"); err != nil {
 		return err
 	}
 	start := time.Now()
 	c := &wire.Checkpoint{
-		Shards:            1,
-		Channels:          s.ropts.Channels,
-		ChannelMinStreams: s.ropts.ChannelMinStreams,
-		Plan:              s.plan.Snapshot(),
-		Frozen:            frozenNames(s.removed),
+		Channels:          f.ropts.Channels,
+		ChannelMinStreams: f.ropts.ChannelMinStreams,
+		Plan:              f.plan.Snapshot(),
 	}
+	f.nameMu.RLock()
+	c.Frozen = frozenNames(f.removed)
+	queries := append([]*core.Query(nil), f.queries...)
+	f.nameMu.RUnlock()
+	if err := f.exec.snapshot(c, queries); err != nil {
+		return err
+	}
+	if err := wire.WriteCheckpoint(w, c); err != nil {
+		return err
+	}
+	obs.RecordEvent(obs.EvCheckpoint,
+		fmt.Sprintf("shards=%d groups=%d", c.Shards, len(c.Groups)), time.Since(start))
+	return nil
+}
+
+func (s *System) snapshot(c *wire.Checkpoint, _ []*core.Query) error {
+	c.Shards = 1
 	for qid, n := range s.eng.SnapshotCounts() {
 		if n != 0 {
 			c.Counts = append(c.Counts, wire.QueryCount{ID: qid, Count: n})
 		}
 	}
 	dists := core.AnalyzePartition(s.plan).OpSideDists(s.plan)
-	if err := exportGroups(s.eng.StateRegistry(), 0, dists, &c.Groups); err != nil {
-		return err
-	}
-	if err := wire.WriteCheckpoint(w, c); err != nil {
-		return err
-	}
-	obs.RecordEvent(obs.EvCheckpoint, fmt.Sprintf("shards=1 groups=%d", len(c.Groups)), time.Since(start))
-	return nil
+	return exportGroups(s.eng.StateRegistry(), 0, dists, &c.Groups)
 }
 
-// restoreSystem rebuilds the unsharded core of a checkpoint: catalog,
-// plan, query bookkeeping, and optimizer options.
-func restoreSystem(c *wire.Checkpoint) (*System, *core.Physical, error) {
-	if c.Plan == nil {
-		return nil, nil, fmt.Errorf("rumor: checkpoint has no plan")
-	}
-	catalog, err := c.Plan.CatalogDecls()
-	if err != nil {
-		return nil, nil, fmt.Errorf("rumor: %w", err)
-	}
-	plan, err := core.RebuildPhysical(catalog, c.Plan)
-	if err != nil {
-		return nil, nil, fmt.Errorf("rumor: rebuilding plan: %w", err)
-	}
-	s := New()
-	s.catalog = catalog
-	s.ropts = rules.Options{Channels: c.Channels, ChannelMinStreams: c.ChannelMinStreams}
-	for _, q := range plan.Queries {
-		s.queries = append(s.queries, q)
-		s.byName[q.Name] = q
-	}
-	for _, fc := range c.Frozen {
-		if s.removed == nil {
-			s.removed = make(map[string]int64)
-		}
-		s.removed[fc.Name] = fc.Count
-	}
-	s.plan = plan
-	return s, plan, nil
-}
-
-// Restore reads a checkpoint written by (*System).Checkpoint and rebuilds
-// the running system: same plan shape and IDs, same result counts, same
-// operator state. Sharded checkpoints must go through RestoreSharded.
-func Restore(r io.Reader) (*System, error) {
-	start := time.Now()
-	c, err := wire.ReadCheckpoint(r)
-	if err != nil {
-		return nil, err
-	}
-	if c.Partition != nil || c.Shards > 1 {
-		return nil, fmt.Errorf("rumor: sharded checkpoint (%d shards); use RestoreSharded", c.Shards)
-	}
-	s, plan, err := restoreSystem(c)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(plan)
-	if err != nil {
-		return nil, err
-	}
-	reg := eng.StateRegistry()
-	for _, g := range c.Groups {
-		if g.Shard != 0 {
-			return nil, fmt.Errorf("rumor: unsharded checkpoint carries state for shard %d", g.Shard)
-		}
-		if g.Payload.Len() == 0 {
-			continue
-		}
-		if err := reg.Import(g.OpID, g.Payload, false); err != nil {
-			return nil, fmt.Errorf("rumor: restoring operator %d state: %w", g.OpID, err)
-		}
-	}
-	maxID := 0
-	for _, qc := range c.Counts {
-		if qc.ID > maxID {
-			maxID = qc.ID
-		}
-	}
-	counts := make([]int64, maxID+1)
-	for _, qc := range c.Counts {
-		if qc.ID < 0 {
-			return nil, fmt.Errorf("rumor: negative query ID %d in checkpoint", qc.ID)
-		}
-		counts[qc.ID] = qc.Count
-	}
-	eng.RestoreCounts(counts)
-	s.eng = eng
-	s.wireCallback()
-	obs.RecordEvent(obs.EvRestore, fmt.Sprintf("shards=1 groups=%d", len(c.Groups)), time.Since(start))
-	return s, nil
-}
-
-// Checkpoint writes a full snapshot of the running sharded system to w:
-// the shared plan, the partition plan (routing-table version and
-// key-placement overlay included), per-replica operator state, and the
-// merged counters. It runs at the same batch-queue barrier as a live
-// delta — concurrent pushers block for the duration — and is serialized
-// against other maintenance operations.
-func (s *ShardedSystem) Checkpoint(w io.Writer) error {
-	if s.sh == nil {
-		return fmt.Errorf("rumor: call Optimize before Checkpoint")
-	}
-	s.churnMu.Lock()
-	defer s.churnMu.Unlock()
-	if err := faultpoint.Error("checkpoint.write"); err != nil {
-		return err
-	}
-	start := time.Now()
-	c := &wire.Checkpoint{
-		Shards:            s.sh.NumShards(),
-		Channels:          s.sys.ropts.Channels,
-		ChannelMinStreams: s.sys.ropts.ChannelMinStreams,
-		Plan:              s.sys.plan.Snapshot(),
-		Partition:         s.sh.PartitionPlan(),
-	}
-	s.nameMu.RLock()
-	c.Frozen = frozenNames(s.removed)
-	queries := append([]*core.Query(nil), s.sys.queries...)
-	s.nameMu.RUnlock()
-	dists := c.Partition.OpSideDists(s.sys.plan)
-	err := s.sh.WithQuiesced(func(regs []shard.Registry) error {
+func (s *ShardedSystem) snapshot(c *wire.Checkpoint, queries []*core.Query) error {
+	c.Shards = s.sh.NumShards()
+	c.Partition = s.sh.PartitionPlan()
+	dists := c.Partition.OpSideDists(s.plan)
+	return s.sh.WithQuiesced(func(regs []shard.Registry) error {
 		sort.Slice(queries, func(i, j int) bool { return queries[i].ID < queries[j].ID })
 		for _, q := range queries {
 			if n := s.sh.ResultCount(q.ID); n != 0 {
@@ -263,15 +172,89 @@ func (s *ShardedSystem) Checkpoint(w io.Writer) error {
 		}
 		return nil
 	})
+}
+
+// restore rebuilds the books of a checkpoint — catalog, query set, frozen
+// counts, and optimizer options — and returns its plan, ready for start.
+func (f *front) restore(c *wire.Checkpoint) (*core.Physical, error) {
+	if c.Plan == nil {
+		return nil, fmt.Errorf("rumor: checkpoint has no plan")
+	}
+	catalog, err := c.Plan.CatalogDecls()
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("rumor: %w", err)
 	}
-	if err := wire.WriteCheckpoint(w, c); err != nil {
-		return err
+	plan, err := core.RebuildPhysical(catalog, c.Plan)
+	if err != nil {
+		return nil, fmt.Errorf("rumor: rebuilding plan: %w", err)
 	}
-	obs.RecordEvent(obs.EvCheckpoint,
-		fmt.Sprintf("shards=%d groups=%d", c.Shards, len(c.Groups)), time.Since(start))
+	f.catalog = catalog
+	f.ropts = rules.Options{Channels: c.Channels, ChannelMinStreams: c.ChannelMinStreams}
+	for _, q := range plan.Queries {
+		f.register(q)
+	}
+	for _, fc := range c.Frozen {
+		f.removed[fc.Name] = fc.Count
+	}
+	return plan, nil
+}
+
+// importGroups restores a checkpoint's operator state positionally: each
+// payload lands on the replica that wrote it.
+func importGroups(groups []wire.GroupState, regs []shard.Registry) error {
+	for _, g := range groups {
+		if g.Shard < 0 || g.Shard >= len(regs) {
+			return fmt.Errorf("rumor: checkpoint state for shard %d of %d", g.Shard, len(regs))
+		}
+		if g.Payload.Len() == 0 {
+			continue
+		}
+		if err := regs[g.Shard].Import(g.OpID, g.Payload, false); err != nil {
+			return fmt.Errorf("rumor: restoring operator %d state on shard %d: %w", g.OpID, g.Shard, err)
+		}
+	}
 	return nil
+}
+
+// Restore reads a checkpoint written by (*System).Checkpoint and rebuilds
+// the running system: same plan shape and IDs, same result counts, same
+// operator state. Sharded checkpoints must go through RestoreSharded.
+func Restore(r io.Reader) (*System, error) {
+	start := time.Now()
+	c, err := wire.ReadCheckpoint(r)
+	if err != nil {
+		return nil, err
+	}
+	if c.Partition != nil || c.Shards > 1 {
+		return nil, fmt.Errorf("rumor: sharded checkpoint (%d shards); use RestoreSharded", c.Shards)
+	}
+	s := New()
+	plan, err := s.restore(c)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := engine.New(plan)
+	if err != nil {
+		return nil, err
+	}
+	if err := importGroups(c.Groups, []shard.Registry{eng.StateRegistry()}); err != nil {
+		return nil, err
+	}
+	var counts []int64
+	for _, qc := range c.Counts {
+		if qc.ID < 0 {
+			return nil, fmt.Errorf("rumor: negative query ID %d in checkpoint", qc.ID)
+		}
+		if qc.ID >= len(counts) {
+			counts = append(counts, make([]int64, qc.ID+1-len(counts))...)
+		}
+		counts[qc.ID] = qc.Count
+	}
+	eng.RestoreCounts(counts)
+	s.eng = eng
+	s.start(plan, s)
+	obs.RecordEvent(obs.EvRestore, fmt.Sprintf("shards=1 groups=%d", len(c.Groups)), time.Since(start))
+	return s, nil
 }
 
 // RestoreSharded reads a checkpoint written by (*ShardedSystem).Checkpoint
@@ -295,7 +278,11 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*ShardedSystem, error) {
 	if c.Shards < 1 {
 		return nil, fmt.Errorf("rumor: checkpoint shard count %d", c.Shards)
 	}
-	sys, plan, err := restoreSystem(c)
+	if cfg.Shards <= 0 {
+		cfg.Shards = c.Shards
+	}
+	s := NewSharded(cfg)
+	plan, err := s.restore(c)
 	if err != nil {
 		return nil, err
 	}
@@ -306,11 +293,7 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*ShardedSystem, error) {
 		}
 		part = core.AnalyzePartition(plan)
 	}
-	shards := c.Shards
-	if cfg.Shards > 0 {
-		shards = cfg.Shards
-	}
-	if shards != c.Shards {
+	if cfg.Shards != c.Shards {
 		// The overlay's explicit key moves name shards of the old width;
 		// start the new width from pure hash placement, one version later.
 		part = &core.PartitionPlan{
@@ -320,28 +303,13 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*ShardedSystem, error) {
 			Table:           &core.RoutingTable{Version: part.RoutingVersion() + 1},
 		}
 	}
-	sh, err := shard.New(plan, part, shard.Config{
-		Shards:     shards,
-		BatchSize:  cfg.BatchSize,
-		QueueDepth: cfg.QueueDepth,
-	})
+	sh, err := shard.New(plan, part, s.shardConfig())
 	if err != nil {
 		return nil, err
 	}
 	err = sh.WithQuiesced(func(regs []shard.Registry) error {
-		if shards == c.Shards {
-			for _, g := range c.Groups {
-				if g.Shard < 0 || g.Shard >= len(regs) {
-					return fmt.Errorf("rumor: checkpoint state for shard %d of %d", g.Shard, len(regs))
-				}
-				if g.Payload.Len() == 0 {
-					continue
-				}
-				if err := regs[g.Shard].Import(g.OpID, g.Payload, false); err != nil {
-					return fmt.Errorf("rumor: restoring operator %d state on shard %d: %w", g.OpID, g.Shard, err)
-				}
-			}
-			return nil
+		if cfg.Shards == c.Shards {
+			return importGroups(c.Groups, regs)
 		}
 		return redistributeGroups(c, plan, part, regs)
 	})
@@ -358,21 +326,11 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*ShardedSystem, error) {
 		frozen[qc.ID] = qc.Count
 	}
 	sh.RestoreCounts(base, frozen)
-	ss := &ShardedSystem{
-		sys:  sys,
-		cfg:  ShardConfig{Shards: shards, BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth},
-		sh:   sh,
-		part: part,
-	}
-	for _, fc := range c.Frozen {
-		if ss.removed == nil {
-			ss.removed = make(map[string]int64)
-		}
-		ss.removed[fc.Name] = fc.Count
-	}
+	s.sh, s.part = sh, part
+	s.start(plan, s)
 	obs.RecordEvent(obs.EvRestore,
-		fmt.Sprintf("shards=%d from=%d groups=%d", shards, c.Shards, len(c.Groups)), time.Since(start))
-	return ss, nil
+		fmt.Sprintf("shards=%d from=%d groups=%d", cfg.Shards, c.Shards, len(c.Groups)), time.Since(start))
+	return s, nil
 }
 
 // redistributeGroups imports a checkpoint's operator state into a system
@@ -482,7 +440,7 @@ type RecoverStats struct {
 // call while other goroutines Push.
 func (s *ShardedSystem) RecoverShard() (RecoverStats, error) {
 	if s.sh == nil {
-		return RecoverStats{}, fmt.Errorf("rumor: call Optimize before RecoverShard")
+		return RecoverStats{}, errNotOptimized("RecoverShard")
 	}
 	s.churnMu.Lock()
 	defer s.churnMu.Unlock()
@@ -508,33 +466,22 @@ func (s *ShardedSystem) RecoverShard() (RecoverStats, error) {
 // log onto the last snapshot with ReplayChurnLog and then re-pushes the
 // events that followed the snapshot; the logged deltas serve as an
 // integrity check that the replayed maintenance reproduced the recorded
-// query set. Pass nil to detach.
-func (s *System) SetChurnLog(w io.Writer) { s.churnLog = w }
+// query set. Pass nil to detach. Serialized against maintenance
+// operations.
+func (f *front) SetChurnLog(w io.Writer) {
+	f.churnMu.Lock()
+	defer f.churnMu.Unlock()
+	f.churnLog = w
+}
 
-func (s *System) logChurn(op wire.ChurnOp, name string, root *Logical, d *core.Delta) error {
-	if s.churnLog == nil {
+func (f *front) logChurn(op wire.ChurnOp, name string, root *Logical, d *core.Delta) error {
+	if f.churnLog == nil {
 		return nil
 	}
-	if err := wire.AppendChurnRecord(s.churnLog, &wire.ChurnRecord{Op: op, Name: name, Root: root, Delta: d}); err != nil {
+	if err := wire.AppendChurnRecord(f.churnLog, &wire.ChurnRecord{Op: op, Name: name, Root: root, Delta: d}); err != nil {
 		return fmt.Errorf("rumor: churn log (operation applied, log incomplete): %w", err)
 	}
 	return nil
-}
-
-func (s *System) logChurnAdd(name string, root *Logical, d *core.Delta) error {
-	return s.logChurn(wire.ChurnAdd, name, root, d)
-}
-
-func (s *System) logChurnRemove(name string, d *core.Delta) error {
-	return s.logChurn(wire.ChurnRemove, name, nil, d)
-}
-
-// SetChurnLog attaches an incremental checkpoint log (see
-// (*System).SetChurnLog). Serialized against maintenance operations.
-func (s *ShardedSystem) SetChurnLog(w io.Writer) {
-	s.churnMu.Lock()
-	defer s.churnMu.Unlock()
-	s.sys.churnLog = w
 }
 
 // ChurnReplayer applies churn-log records; both System and ShardedSystem

@@ -136,7 +136,7 @@ type ClusterConfig struct {
 // registered, and a callback registered afterwards is never invoked for
 // remote replicas.
 func (s *ShardedSystem) DialCluster(opt Options, cfg ClusterConfig) error {
-	if s.sh != nil {
+	if s.exec != nil {
 		return fmt.Errorf("rumor: system already optimized")
 	}
 	if len(cfg.Nodes) == 0 {
@@ -145,7 +145,7 @@ func (s *ShardedSystem) DialCluster(opt Options, cfg ClusterConfig) error {
 	if s.onResult != nil {
 		return fmt.Errorf("rumor: OnResult callbacks are not supported on a cluster deployment; results are merged counters, use ResultCount")
 	}
-	plan, err := s.sys.buildPlan(opt)
+	plan, err := s.buildPlan(opt)
 	if err != nil {
 		return err
 	}
@@ -181,17 +181,12 @@ func (s *ShardedSystem) DialCluster(opt Options, cfg ClusterConfig) error {
 			Seed:              seed + int64(i),
 		}
 	}
-	sh, err := shard.NewCluster(plan, part, shard.Config{
-		Shards:     len(cfg.Nodes),
-		BatchSize:  cfg.BatchSize,
-		QueueDepth: cfg.QueueDepth,
-	}, nodes)
+	s.cfg = ShardConfig{Shards: len(cfg.Nodes), BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth}
+	sh, err := shard.NewCluster(plan, part, s.shardConfig(), nodes)
 	if err != nil {
 		return err
 	}
-	s.sys.plan = plan
-	s.sh = sh
-	s.part = part
-	s.cfg = ShardConfig{Shards: len(cfg.Nodes), BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth}
+	s.sh, s.part = sh, part
+	s.start(plan, s)
 	return nil
 }

@@ -106,6 +106,12 @@ func (s *System) Metrics() *Metrics {
 	if s.eng != nil {
 		s.eng.MetricsInto(snap)
 	}
+	return withProcessMetrics(snap)
+}
+
+// withProcessMetrics adds the process-wide registry and the transport
+// counters to snap and converts it.
+func withProcessMetrics(snap *obs.Snapshot) *Metrics {
 	obs.Default.Into(snap)
 	transport.MetricsInto(snap)
 	return metricsFromSnapshot(snap)
@@ -122,7 +128,7 @@ func (s *System) Metrics() *Metrics {
 // ErrShardUnreachable.
 func (s *ShardedSystem) Metrics() (*Metrics, error) {
 	if s.sh == nil {
-		return s.sys.Metrics(), nil
+		return withProcessMetrics(obs.NewSnapshot()), nil
 	}
 	s.churnMu.Lock()
 	defer s.churnMu.Unlock()
@@ -130,9 +136,7 @@ func (s *ShardedSystem) Metrics() (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	obs.Default.Into(snap)
-	transport.MetricsInto(snap)
-	return metricsFromSnapshot(snap), nil
+	return withProcessMetrics(snap), nil
 }
 
 // WorkerHealth reports one shard worker's link health as observed by the
