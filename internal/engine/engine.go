@@ -320,56 +320,45 @@ func (e *Engine) rebuildRoutes() {
 			r.sinks = append(r.sinks, sink{pos: pos, queries: []int{q.ID}})
 		}
 	}
-	// Release analysis. An edge is releasable when every consumer port
-	// only reads delivered tuples. Ownership may pass through exactly one
-	// forwarding consumer (a selection re-emitting the tuple); with a
-	// storing consumer, several forwarders, or a forwarder next to a sink
-	// (whose callback may see the tuple), the tuple stops being singly
-	// referenced and sheds its Owned flag at delivery.
+	// Release analysis, over every consumer (deliver) and again over the
+	// scalar consumers alone: the latter governs the pooled row tuples the
+	// block→scalar adapter materializes.
 	for i := range e.routes {
 		r := &e.routes[i]
 		r.hasSink = len(r.sinks) > 0
-		r.releasable = true
-		forwarders := 0
-		for _, c := range r.consumers {
-			use := mop.PortStores
-			if c.port < len(c.node.uses) {
-				use = c.node.uses[c.port]
-			}
-			switch use {
-			case mop.PortStores:
-				r.clearsOwned = true
-				r.releasable = false
-			case mop.PortForwards:
-				forwarders++
-				r.releasable = false
-			}
+		r.releasable, r.clearsOwned = releaseOf(r.consumers, r.hasSink)
+		r.rowReleasable, r.rowClearsOwned = releaseOf(r.scalarConsumers, r.hasSink)
+	}
+}
+
+// releaseOf is the release analysis of one edge's consumer ports. The
+// edge is releasable when every port only reads delivered tuples.
+// Ownership may pass through exactly one forwarding consumer (a selection
+// re-emitting the tuple); with a storing consumer, several forwarders, or
+// a forwarder next to a sink (whose callback may see the tuple), the tuple
+// stops being singly referenced and sheds its Owned flag at delivery
+// (clearsOwned).
+func releaseOf(consumers []portRef, hasSink bool) (releasable, clearsOwned bool) {
+	releasable = true
+	forwarders := 0
+	for _, c := range consumers {
+		use := mop.PortStores
+		if c.port < len(c.node.uses) {
+			use = c.node.uses[c.port]
 		}
-		if forwarders > 1 || (forwarders == 1 && r.hasSink) {
-			r.clearsOwned = true
-		}
-		// Same analysis restricted to the scalar consumers: it governs the
-		// pooled row tuples the block→scalar adapter materializes.
-		r.rowReleasable = true
-		rowForwarders := 0
-		for _, c := range r.scalarConsumers {
-			use := mop.PortStores
-			if c.port < len(c.node.uses) {
-				use = c.node.uses[c.port]
-			}
-			switch use {
-			case mop.PortStores:
-				r.rowClearsOwned = true
-				r.rowReleasable = false
-			case mop.PortForwards:
-				rowForwarders++
-				r.rowReleasable = false
-			}
-		}
-		if rowForwarders > 1 || (rowForwarders == 1 && r.hasSink) {
-			r.rowClearsOwned = true
+		switch use {
+		case mop.PortStores:
+			clearsOwned = true
+			releasable = false
+		case mop.PortForwards:
+			forwarders++
+			releasable = false
 		}
 	}
+	if forwarders > 1 || (forwarders == 1 && hasSink) {
+		clearsOwned = true
+	}
+	return releasable, clearsOwned
 }
 
 // ApplyDelta splices a live plan delta into the running engine: channel

@@ -2,6 +2,10 @@ package shard
 
 import (
 	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/mop"
+	"repro/internal/wire"
 )
 
 // WithQuiesced runs fn at a batch-queue barrier: ingestion is blocked,
@@ -18,10 +22,48 @@ func (e *Engine) WithQuiesced(fn func(regs []Registry) error) error {
 	if e.closed {
 		return fmt.Errorf("shard: engine closed")
 	}
-	if err := e.quiesceLocked(); err != nil {
+	if err := e.quiesceLocked(false); err != nil {
 		return err
 	}
 	return fn(e.registriesLocked())
+}
+
+// ImportGroups imports the operator state of a checkpoint written at width
+// from into this freshly built engine of a different width, at a barrier.
+// The payloads of each (op, side) go through the placement step of
+// rebalance and recovery (mover.place) under the engine's partition plan:
+// keyed and multicast state re-splits by key ownership at the new width,
+// replicated state is copied onto every replica, and unpartitioned state
+// lands on shard 0.
+func (e *Engine) ImportGroups(groups []wire.GroupState, from int) error {
+	return e.WithQuiesced(func(regs []Registry) error {
+		type opSide struct{ op, side int }
+		var order []opSide
+		buckets := make(map[opSide][]*mop.StatePayload)
+		for _, g := range groups {
+			if g.Shard < 0 || g.Shard >= from {
+				return fmt.Errorf("shard: checkpoint state for shard %d of %d", g.Shard, from)
+			}
+			if g.Payload.Len() == 0 {
+				continue
+			}
+			k := opSide{g.OpID, g.Payload.Side()}
+			if _, ok := buckets[k]; !ok {
+				order = append(order, k)
+			}
+			buckets[k] = append(buckets[k], g.Payload)
+		}
+		m := &mover{regs: regs, part: e.part, fresh: true}
+		dists := e.part.OpSideDists(e.plan)
+		for _, k := range order {
+			d := core.SideDistAt(dists, k.op, k.side)
+			if err := m.place(k.op, d, d, buckets[k]); err != nil {
+				return err
+			}
+		}
+		m.commit()
+		return nil
+	})
 }
 
 // FrozenCounts returns a copy of the frozen final counts of queries

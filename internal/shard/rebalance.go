@@ -37,6 +37,10 @@ var ErrPartialMigration = errors.New("shard: partial state migration rolled back
 //	              transfer at all)                               other
 //	                                                             copies
 //
+// The export of each row is the rebalance's own; where the exported items
+// go is decided by the placement step that shard recovery and
+// width-changing restore share (mover.place).
+//
 // Counting survives sink transitions (partitioned ↔ replicated) because
 // every rebalance folds the replica counters into a per-query base and
 // resets them (rebaseCountsLocked).
@@ -66,7 +70,7 @@ func (e *Engine) Rebalance(part *core.PartitionPlan) (RebalanceStats, error) {
 	if e.closed {
 		return st, fmt.Errorf("shard: engine closed")
 	}
-	if err := e.quiesceLocked(); err != nil {
+	if err := e.quiesceLocked(false); err != nil {
 		return st, err
 	}
 	regs := e.registriesLocked()
@@ -146,22 +150,17 @@ func (e *Engine) MaybeRebalance(maxImbalance float64) (bool, RebalanceStats, err
 	return true, st, err
 }
 
-// sideDistOf looks up one op side's distribution, defaulting to DistAny
-// (state left in place) for operators the analysis does not cover.
-func sideDistOf(dists map[int][]core.SideDist, opID, side int) core.SideDist {
-	return core.SideDistAt(dists, opID, side)
-}
-
-// touchedSide is one (group, side) the transition matrix will act on.
+// touchedSide is one (group, side) the transition matrix will act on, with
+// its pre-migration snapshot (one payload per replica).
 type touchedSide struct {
 	ref    mop.GroupRef
 	side   int
 	od, nd core.SideDist
+	snap   []*mop.StatePayload
 }
 
 // transitionTouches reports whether the transition matrix moves or drops
-// anything for an old→new distribution pair (the non-default cases of
-// migrateGroupSide).
+// anything for an old→new distribution pair.
 func transitionTouches(od, nd core.SideDist) bool {
 	switch {
 	case nd.Dist == core.DistKeyed:
@@ -180,64 +179,54 @@ func transitionTouches(od, nd core.SideDist) bool {
 // reflect any delta applied to the replicas.
 //
 // Before anything moves, every group side the transition matrix will touch
-// is snapshotted with a destructive peek: export-all followed by an
-// immediate in-place re-import leaves the store unchanged (modulo
-// tombstone compaction, which carries no state) while the export payload
-// survives as a restore point referencing the very tuples in the stores. A
+// is snapshotted with a destructive peek (Peek), whose payload survives as
+// a restore point referencing the very tuples in the stores. A
 // mid-migration failure then rolls the touched sides back to their
 // snapshots and returns ErrPartialMigration with the engine fully usable;
 // the engine is poisoned only if the rollback itself fails. Payload
 // discards (which release µ pooled state) are deferred until the whole
 // migration has succeeded, because the snapshots alias that state.
 func (e *Engine) migrateStateLocked(regs []Registry, oldD map[int][]core.SideDist, newPart *core.PartitionPlan) (RebalanceStats, error) {
-	var st RebalanceStats
 	if len(e.workers) == 1 {
-		return st, nil
+		return RebalanceStats{}, nil
 	}
 	newD := newPart.OpSideDists(e.plan)
-	var touched []touchedSide
-	snap := make(map[[2]int][]*mop.StatePayload)
+	var touched []*touchedSide
 	for _, ref := range regs[0].Groups() {
 		for _, side := range ref.Sides {
-			od := sideDistOf(oldD, ref.OpID, side)
-			nd := sideDistOf(newD, ref.OpID, side)
-			if !transitionTouches(od, nd) {
+			t := &touchedSide{ref: ref, side: side,
+				od: core.SideDistAt(oldD, ref.OpID, side), nd: core.SideDistAt(newD, ref.OpID, side)}
+			if !transitionTouches(t.od, t.nd) {
 				continue
 			}
-			pls := make([]*mop.StatePayload, len(regs))
-			for i, reg := range regs {
-				pl, err := reg.Export(ref.OpID, side, -1, func(int64, int) bool { return true })
+			for _, reg := range regs {
+				pl, err := Peek(reg, ref.OpID, side, -1)
+				if err != nil && pl != nil {
+					e.poisonLocked()
+					return RebalanceStats{}, fmt.Errorf("shard: snapshot re-import failed, engine disabled: %w", err)
+				}
 				if err != nil {
 					// Unknown operator: nothing was exported, the engine
 					// is unchanged.
-					return st, err
+					return RebalanceStats{}, err
 				}
-				if pl.Len() > 0 {
-					if err := reg.Import(ref.OpID, pl, false); err != nil {
-						e.poisonLocked()
-						return st, fmt.Errorf("shard: snapshot re-import failed, engine disabled: %w", err)
-					}
-				}
-				pls[i] = pl
+				t.snap = append(t.snap, pl)
 			}
-			snap[[2]int{ref.OpID, side}] = pls
-			touched = append(touched, touchedSide{ref: ref, side: side, od: od, nd: nd})
+			touched = append(touched, t)
 		}
 	}
-	var discards []*mop.StatePayload
+	m := &mover{regs: regs, part: newPart, faults: true}
 	for _, t := range touched {
-		if err := e.migrateGroupSide(regs, t.ref, t.side, t.od, t.nd, newPart, &st, &discards); err != nil {
-			if rbErr := rollbackMigration(regs, touched, snap); rbErr != nil {
+		if err := m.migrate(t); err != nil {
+			if rbErr := rollbackMigration(regs, touched); rbErr != nil {
 				e.poisonLocked()
-				return st, fmt.Errorf("shard: state migration failed (%v), rollback failed, engine disabled: %w", err, rbErr)
+				return RebalanceStats{}, fmt.Errorf("shard: state migration failed (%v), rollback failed, engine disabled: %w", err, rbErr)
 			}
 			return RebalanceStats{}, fmt.Errorf("%w: %w", ErrPartialMigration, err)
 		}
 	}
-	for _, pl := range discards {
-		pl.Discard()
-	}
-	return st, nil
+	m.commit()
+	return RebalanceStats{Moved: m.moved, Dropped: m.dropped}, nil
 }
 
 // rollbackMigration restores every touched group side from its snapshot:
@@ -245,24 +234,23 @@ func (e *Engine) migrateStateLocked(regs []Registry, oldD map[int][]core.SideDis
 // and dropped — never discarded, since those items alias the snapshot
 // being restored; clones imported by copy are simply released to the
 // garbage collector) and the snapshot payload re-imported in place.
-func rollbackMigration(regs []Registry, touched []touchedSide, snap map[[2]int][]*mop.StatePayload) error {
+func rollbackMigration(regs []Registry, touched []*touchedSide) error {
 	// Clear every touched side on every replica first (a half-migrated
 	// item may sit on a replica other than its snapshot home), then
 	// restore the snapshots.
 	for _, t := range touched {
 		for _, reg := range regs {
-			if _, err := reg.Export(t.ref.OpID, t.side, -1, func(int64, int) bool { return true }); err != nil {
+			if _, err := reg.Export(t.ref.OpID, t.side, -1, exportAll); err != nil {
 				return err
 			}
 		}
 	}
 	for _, t := range touched {
-		pls := snap[[2]int{t.ref.OpID, t.side}]
 		for i, reg := range regs {
-			if pls[i].Len() == 0 {
+			if t.snap[i].Len() == 0 {
 				continue
 			}
-			if err := reg.Import(t.ref.OpID, pls[i], false); err != nil {
+			if err := reg.Import(t.ref.OpID, t.snap[i], false); err != nil {
 				return err
 			}
 		}
@@ -270,119 +258,174 @@ func rollbackMigration(regs []Registry, touched []touchedSide, snap map[[2]int][
 	return nil
 }
 
-// migrateGroupSide applies the transition matrix to one (group, side).
-// Payloads whose pooled state must be released are appended to discards
-// instead of being discarded inline: the caller's rollback snapshots alias
-// that state, so releases only happen once the whole migration commits.
-func (e *Engine) migrateGroupSide(regs []Registry, ref mop.GroupRef, side int,
-	od, nd core.SideDist, newPart *core.PartitionPlan, st *RebalanceStats, discards *[]*mop.StatePayload) error {
-	n := len(regs)
-	switch {
-	case nd.Dist == core.DistKeyed && od.Dist != core.DistReplicated:
-		// Keyed (or previously unkeyed) state: export every item whose new
-		// owner set is not exactly its current replica, then spread the
-		// exports round-robin per key across the owners. Items already in
-		// place never leave their replica.
-		payloads := make([]*mop.StatePayload, n)
-		for i, reg := range regs {
-			if err := faultpoint.Error("shard.rebalance.export"); err != nil {
+// migrate applies the transition matrix to one touched (group, side): each
+// replica exports the items that leave it, and place puts them where the
+// new distribution wants them.
+func (m *mover) migrate(t *touchedSide) error {
+	n := len(m.regs)
+	keyAttr := -1
+	if t.nd.Dist == core.DistKeyed {
+		keyAttr = t.nd.Attr
+	}
+	leaving := make([]*mop.StatePayload, n)
+	for i, reg := range m.regs {
+		sel := exportAll
+		switch {
+		case t.nd.Dist == core.DistKeyed && t.od.Dist == core.DistReplicated:
+			// Every replica holds an identical copy in identical store
+			// order, so each keeps exactly the items the new placement
+			// assigns to it (per-key round-robin over the store ordinal)
+			// and sheds the rest — no transfer at all.
+			sel = func(key int64, ord int) bool {
+				owners := m.part.Owners(key, n)
+				return owners[ord%len(owners)] != i
+			}
+		case t.nd.Dist == core.DistKeyed:
+			sel = m.misplaced(i)
+		case t.nd.Dist == core.DistAny && i == 0:
+			continue // replicated copies collapse to shard 0's
+		}
+		if err := faultpoint.Error("shard.rebalance.export"); err != nil {
+			return err
+		}
+		pl, err := reg.Export(t.ref.OpID, t.side, keyAttr, sel)
+		if err != nil {
+			return err
+		}
+		leaving[i] = pl
+	}
+	return m.place(t.ref.OpID, t.od, t.nd, leaving)
+}
+
+// exportAll is the export selection that takes every item.
+func exportAll(int64, int) bool { return true }
+
+// Peek exports every item of one (op, side) and re-imports it in place:
+// the store is left unchanged (up to tombstone compaction, which carries
+// no state) while the payload survives as a copy of the state that aliases
+// the stored tuples. keyAttr tags the items with their partition keys (-1
+// leaves them untagged). A failed export returns a nil payload and leaves
+// the store untouched; a failed re-import returns the payload with the
+// error — its items are then out of the store.
+func Peek(reg Registry, opID, side, keyAttr int) (*mop.StatePayload, error) {
+	pl, err := reg.Export(opID, side, keyAttr, exportAll)
+	if err != nil {
+		return nil, err
+	}
+	if pl.Len() > 0 {
+		err = reg.Import(opID, pl, false)
+	}
+	return pl, err
+}
+
+// mover is the placement step every state migration shares — rebalance,
+// shard recovery, and a restore into a different width: it puts the state
+// items that left their replicas onto target replicas under a partition
+// plan, and keeps the books of the migration.
+type mover struct {
+	regs   []Registry          // targets, by shard index at the target width
+	part   *core.PartitionPlan // key placement at the target width
+	fresh  bool                // targets start empty (restore)
+	faults bool                // fire shard.rebalance.import before each import
+	codec  bool                // ship each placed payload through the wire codec
+
+	moved, dropped, bytes int
+	discards              []*mop.StatePayload // released by commit
+}
+
+// misplaced selects the items whose owner set at the target width is not
+// exactly target i: they leave, everything else stays in place.
+func (m *mover) misplaced(i int) func(key int64, ord int) bool {
+	return func(key int64, _ int) bool {
+		owners := m.part.Owners(key, len(m.regs))
+		return !(len(owners) == 1 && owners[0] == i)
+	}
+}
+
+// place puts the items that left their replicas for one (op, side) where
+// to, the side's distribution at the target width, wants them; from is its
+// distribution where they left. From a replicated side each payload is a
+// full copy: targets that start empty each get one, and the copies that
+// left are spare and discarded. Otherwise the payloads are disjoint and
+// merge into timestamp order. Keyed and multicast items then split by key
+// ownership, duplicate copies of a key round-robin across its owner set;
+// replicated items are copied onto every target; unpartitioned items go
+// to target 0.
+func (m *mover) place(opID int, from, to core.SideDist, leaving []*mop.StatePayload) error {
+	if from.Dist == core.DistReplicated {
+		for i := 0; m.fresh && len(leaving) > 0 && i < len(m.regs); i++ {
+			if err := m.put(i, opID, leaving[0], true); err != nil {
 				return err
 			}
-			pl, err := reg.Export(ref.OpID, side, nd.Attr, func(key int64, _ int) bool {
-				owners := newPart.Owners(key, n)
-				return !(len(owners) == 1 && owners[0] == i)
-			})
+		}
+		for _, pl := range leaving {
+			m.dropped += pl.Len()
+			m.discards = append(m.discards, pl)
+		}
+		return nil
+	}
+	if m.codec {
+		for i, pl := range leaving {
+			out, nbytes, err := reencodePayload(pl)
 			if err != nil {
 				return err
 			}
-			payloads[i] = pl
+			m.bytes += nbytes
+			leaving[i] = out
 		}
-		merged := mop.MergePayloads(payloads)
-		if merged.Len() == 0 {
-			return nil
-		}
+	}
+	merged := mop.MergePayloads(leaving)
+	switch to.Dist {
+	case core.DistKeyed, core.DistMulticast:
+		n := len(m.regs)
 		rr := make(map[int64]int)
 		parts := merged.SplitBy(n, func(key int64) int {
-			owners := newPart.Owners(key, n)
+			owners := m.part.Owners(key, n)
 			k := rr[key]
 			rr[key] = k + 1
 			return owners[k%len(owners)]
 		})
 		for i, pl := range parts {
-			if pl.Len() == 0 {
-				continue
-			}
-			if err := faultpoint.Error("shard.rebalance.import"); err != nil {
+			if err := m.put(i, opID, pl, false); err != nil {
 				return err
 			}
-			if err := regs[i].Import(ref.OpID, pl, false); err != nil {
-				return err
-			}
-			st.Moved += pl.Len()
 		}
-	case nd.Dist == core.DistKeyed && od.Dist == core.DistReplicated:
-		// Replicated state becomes keyed: every replica holds an identical
-		// copy in identical store order, so each keeps exactly the items
-		// the new placement assigns to it (per-key round-robin over the
-		// store ordinal) and drops the rest — no transfer at all.
-		for i, reg := range regs {
-			if err := faultpoint.Error("shard.rebalance.export"); err != nil {
+	case core.DistReplicated:
+		for i := range m.regs {
+			if err := m.put(i, opID, merged, true); err != nil {
 				return err
 			}
-			pl, err := reg.Export(ref.OpID, side, nd.Attr, func(key int64, ord int) bool {
-				owners := newPart.Owners(key, n)
-				return owners[ord%len(owners)] != i
-			})
-			if err != nil {
-				return err
-			}
-			st.Dropped += pl.Len()
-			*discards = append(*discards, pl)
 		}
-	case nd.Dist == core.DistReplicated && od.Dist != core.DistReplicated:
-		// Partitioned state becomes replicated: collect everything (key
-		// extraction skipped: keyAttr -1) and import a copy into every
-		// replica (pool-owned state is cloned).
-		payloads := make([]*mop.StatePayload, n)
-		for i, reg := range regs {
-			if err := faultpoint.Error("shard.rebalance.export"); err != nil {
-				return err
-			}
-			pl, err := reg.Export(ref.OpID, side, -1, func(int64, int) bool { return true })
-			if err != nil {
-				return err
-			}
-			payloads[i] = pl
-		}
-		merged := mop.MergePayloads(payloads)
-		if merged.Len() == 0 {
-			return nil
-		}
-		for _, reg := range regs {
-			if err := faultpoint.Error("shard.rebalance.import"); err != nil {
-				return err
-			}
-			if err := reg.Import(ref.OpID, merged, true); err != nil {
-				return err
-			}
-			st.Moved += merged.Len()
-		}
-		*discards = append(*discards, merged)
-	case nd.Dist == core.DistAny && od.Dist == core.DistReplicated:
-		// Replicated copies must collapse to one: keep shard 0's.
-		for i := 1; i < n; i++ {
-			pl, err := regs[i].Export(ref.OpID, side, -1, func(int64, int) bool { return true })
-			if err != nil {
-				return err
-			}
-			st.Dropped += pl.Len()
-			*discards = append(*discards, pl)
-		}
+		m.discards = append(m.discards, merged)
 	default:
-		// keyed→any, any→any, replicated→replicated, multicast sides:
-		// existing placement stays valid; nothing moves.
+		return m.put(0, opID, merged, false)
 	}
 	return nil
+}
+
+// put imports a non-empty payload on target i.
+func (m *mover) put(i, opID int, pl *mop.StatePayload, copied bool) error {
+	if pl.Len() == 0 {
+		return nil
+	}
+	if m.faults {
+		if err := faultpoint.Error("shard.rebalance.import"); err != nil {
+			return err
+		}
+	}
+	if err := m.regs[i].Import(opID, pl, copied); err != nil {
+		return fmt.Errorf("importing operator %d state on shard %d: %w", opID, i, err)
+	}
+	m.moved += pl.Len()
+	return nil
+}
+
+// commit releases the pooled state of the payloads the migration shed or
+// copied; it runs once nothing can roll back to them.
+func (m *mover) commit() {
+	for _, pl := range m.discards {
+		pl.Discard()
+	}
 }
 
 // planMovesLocked builds a balanced key-placement overlay from the keyed
@@ -396,7 +439,7 @@ func (e *Engine) planMovesLocked(regs []Registry, dists map[int][]core.SideDist)
 	for _, reg := range regs {
 		for _, ref := range reg.Groups() {
 			for _, side := range ref.Sides {
-				d := sideDistOf(dists, ref.OpID, side)
+				d := core.SideDistAt(dists, ref.OpID, side)
 				if d.Dist != core.DistKeyed {
 					continue
 				}

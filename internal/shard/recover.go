@@ -17,10 +17,11 @@ package shard
 //  3. fold every replica's result counters (including the caught-up
 //     corpse) into the engine's base table;
 //  4. migrate the corpse's operator state to the survivors through the
-//     rebalance transition matrix, with keyed sides fully re-hashed over
-//     the survivor count; every migrated payload travels through the wire
-//     codec (encode → decode), exercising the same serialized transport a
-//     cross-process recovery would use;
+//     placement step rebalance uses (mover.place), with keyed sides fully
+//     re-hashed over the survivor count, replicated copies dropped and
+//     unpartitioned state moved to one survivor; every migrated payload
+//     travels through the wire codec (encode → decode), exercising the
+//     same serialized transport a cross-process recovery would use;
 //  5. shrink the runtime to the survivors, drop the key-placement overlay
 //     (its shard indices are meaningless after the shrink), bump the
 //     routing-table version, and resume ingestion.
@@ -65,7 +66,7 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 	if e.closed {
 		return st, fmt.Errorf("shard: engine closed")
 	}
-	if err := e.quiesceLiveLocked(); err != nil {
+	if err := e.barrierLocked(false); err != nil {
 		return st, err
 	}
 	dead := -1
@@ -139,12 +140,7 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 	}
 
 	// State migration to the survivors.
-	newPart := &core.PartitionPlan{
-		Routes:          e.part.Routes,
-		ReplicatedSinks: e.part.ReplicatedSinks,
-		Parallel:        e.part.Parallel,
-		Table:           &core.RoutingTable{Version: e.part.RoutingVersion() + 1},
-	}
+	newPart := e.part.WithMoves(nil)
 	if err := e.migrateForRecovery(dead, newPart, &st); err != nil {
 		e.poisonLocked()
 		return st, fmt.Errorf("shard: recovery migration failed, engine disabled: %w", err)
@@ -194,7 +190,10 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 }
 
 // migrateForRecovery moves the dead replica's state to the survivors and
-// re-hashes keyed sides over the survivor count. Unlike a same-count
+// re-hashes keyed sides over the survivor count: the dead replica exports
+// everything, each survivor exports the keyed items the new placement
+// moves elsewhere, and the placement step (mover.place) puts them on the
+// survivors, every payload through the wire codec. Unlike a same-count
 // rebalance there is no rollback: the failure mode it would protect
 // against (a half-moved store) is indistinguishable from the crash being
 // recovered, and the caller falls back to checkpoint restore. Called with
@@ -202,109 +201,41 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 //
 //rumor:holdslock
 func (e *Engine) migrateForRecovery(dead int, newPart *core.PartitionPlan, st *RecoverStats) error {
-	n := len(e.workers)
-	n2 := n - 1
-	newIdx := func(i int) int {
-		switch {
-		case i == dead:
-			return -1
-		case i > dead:
-			return i - 1
-		default:
-			return i
-		}
-	}
-	oldIdx := func(ni int) int {
-		if ni >= dead {
-			return ni + 1
-		}
-		return ni
-	}
 	regs := e.registriesLocked()
+	m := &mover{regs: append(regs[:dead:dead], regs[dead+1:]...), part: newPart, codec: true}
 	dists := newPart.OpSideDists(e.plan)
 	for _, ref := range regs[0].Groups() {
 		for _, side := range ref.Sides {
-			d := sideDistOf(dists, ref.OpID, side)
-			switch d.Dist {
-			case core.DistKeyed, core.DistMulticast:
-				// Key-placed state: the shard count changed, so every item
-				// re-hashes over n2 — the dead replica exports everything,
-				// survivors export what the new placement moves elsewhere.
-				payloads := make([]*mop.StatePayload, 0, n)
-				for i, reg := range regs {
-					ni := newIdx(i)
-					pl, err := reg.Export(ref.OpID, side, d.Attr, func(key int64, _ int) bool {
-						if ni < 0 {
-							return true
-						}
-						owners := newPart.Owners(key, n2)
-						return !(len(owners) == 1 && owners[0] == ni)
-					})
-					if err != nil {
-						return err
-					}
-					pl2, nbytes, err := reencodePayload(pl)
-					if err != nil {
-						return err
-					}
-					st.Bytes += nbytes
-					payloads = append(payloads, pl2)
+			d := core.SideDistAt(dists, ref.OpID, side)
+			keyAttr := -1
+			if d.Dist == core.DistKeyed || d.Dist == core.DistMulticast {
+				keyAttr = d.Attr
+			}
+			var leaving []*mop.StatePayload
+			for i, reg := range regs {
+				sel := exportAll
+				switch {
+				case i == dead:
+				case keyAttr < 0:
+					continue // survivors keep replicated and unpartitioned state
+				case i < dead:
+					sel = m.misplaced(i)
+				default:
+					sel = m.misplaced(i - 1)
 				}
-				merged := mop.MergePayloads(payloads)
-				if merged.Len() == 0 {
-					continue
-				}
-				rr := make(map[int64]int)
-				parts := merged.SplitBy(n2, func(key int64) int {
-					owners := newPart.Owners(key, n2)
-					k := rr[key]
-					rr[key] = k + 1
-					return owners[k%len(owners)]
-				})
-				for ni, pl := range parts {
-					if pl.Len() == 0 {
-						continue
-					}
-					if err := regs[oldIdx(ni)].Import(ref.OpID, pl, false); err != nil {
-						return err
-					}
-					st.Moved += pl.Len()
-				}
-			case core.DistReplicated:
-				// Every survivor already holds a full copy; the dead
-				// replica's copy dies with it.
-				pl, err := regs[dead].Export(ref.OpID, side, -1, func(int64, int) bool { return true })
+				pl, err := reg.Export(ref.OpID, side, keyAttr, sel)
 				if err != nil {
 					return err
 				}
-				st.Dropped += pl.Len()
-				pl.Discard()
-			default:
-				// Unpartitioned (DistAny) state: the dead replica's items
-				// move, through the wire codec, to the first survivor.
-				pl, err := regs[dead].Export(ref.OpID, side, -1, func(int64, int) bool { return true })
-				if err != nil {
-					return err
-				}
-				if pl.Len() == 0 {
-					continue
-				}
-				pl2, nbytes, err := reencodePayload(pl)
-				if err != nil {
-					return err
-				}
-				st.Bytes += nbytes
-				target := 0
-				if dead == 0 {
-					target = 1
-				}
-				if err := regs[target].Import(ref.OpID, pl2, false); err != nil {
-					return err
-				}
-				st.Moved += pl2.Len()
+				leaving = append(leaving, pl)
+			}
+			if err := m.place(ref.OpID, d, d, leaving); err != nil {
+				return err
 			}
 		}
 	}
+	m.commit()
+	st.Moved, st.Dropped, st.Bytes = m.moved, m.dropped, m.bytes
 	return nil
 }
 

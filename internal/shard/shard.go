@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -941,7 +942,7 @@ func (e *Engine) SetBlockSize(n int) error {
 	if e.closed {
 		return fmt.Errorf("shard: engine closed")
 	}
-	if err := e.quiesceLocked(); err != nil {
+	if err := e.quiesceLocked(false); err != nil {
 		return err
 	}
 	for _, w := range e.workers {
@@ -971,85 +972,15 @@ func (e *Engine) BlocksProcessed() int64 {
 // replayed everything handed to it. It returns the first replay error. A
 // worker that dies instead of acknowledging is detected (the wait selects
 // on its done channel rather than hanging) and reported as ErrShardDead.
+// The ingestion lock is released while the workers drain, so concurrent
+// pushers only wait for the flush.
 func (e *Engine) Drain() error {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return fmt.Errorf("shard: engine closed")
 	}
-	for i := range e.pending {
-		e.flushShard(i)
-	}
-	workers := e.workers
-	acks := make([]chan error, len(workers))
-	for i, w := range workers {
-		if e.dead[i] {
-			continue
-		}
-		ack := make(chan error, 1)
-		select {
-		case w.ch <- msg{ack: ack}:
-			acks[i] = ack
-		case <-w.done:
-			e.markDeadLocked(i)
-		}
-	}
-	anyDead := e.numDead > 0
-	e.mu.Unlock()
-	var first error
-	var died []int
-	for i, ack := range acks {
-		if ack == nil {
-			continue
-		}
-		select {
-		case err := <-ack:
-			if err != nil && first == nil {
-				first = err
-			}
-		case <-workers[i].done:
-			// The ack may have raced in just before the death.
-			select {
-			case err := <-ack:
-				if err != nil && first == nil {
-					first = err
-				}
-			default:
-				died = append(died, i)
-			}
-		}
-	}
-	e.mu.Lock()
-	for _, i := range died {
-		e.markDeadLocked(i)
-	}
-	// Barrier refresh: pull each remote replica's counter snapshot and
-	// sticky replay error (no-ops for local replicas). A refresh that
-	// finds the worker lost marks the shard dead — this is how an outage
-	// that began while the link was idle surfaces.
-	for i, w := range workers {
-		if i >= len(e.dead) || e.dead[i] {
-			continue
-		}
-		if err := w.rep.refresh(); err != nil {
-			if errors.Is(err, ErrShardDead) {
-				e.markDeadLocked(i)
-				continue
-			}
-			if first == nil {
-				first = err
-			}
-		}
-		if serr := w.rep.stickyErr(); serr != nil && first == nil {
-			first = serr
-		}
-	}
-	anyDead = e.numDead > 0
-	if first == nil && anyDead {
-		first = e.deadErrLocked()
-	}
-	e.mu.Unlock()
-	return first
+	return e.quiesceLocked(true)
 }
 
 // Close drains, stops every worker, and rejects further ingestion. It is
@@ -1111,10 +1042,11 @@ func (e *Engine) poisonLocked() {
 
 // quiesceLocked hands every pending buffer over and waits for the workers
 // to drain their queues, failing with ErrShardDead if any worker is (or
-// turns up) dead. Called with mu held; the lock stays held so no new
-// tuples interleave with the maintenance operation that follows.
-func (e *Engine) quiesceLocked() error {
-	if err := e.quiesceLiveLocked(); err != nil {
+// turns up) dead. Called with mu held; unless release is set (Drain) the
+// lock stays held throughout, so no new tuples interleave with the
+// maintenance operation that follows.
+func (e *Engine) quiesceLocked(release bool) error {
+	if err := e.barrierLocked(release); err != nil {
 		return err
 	}
 	if e.numDead > 0 {
@@ -1123,16 +1055,26 @@ func (e *Engine) quiesceLocked() error {
 	return nil
 }
 
-// quiesceLiveLocked quiesces every live worker, detecting newly dead ones
-// instead of blocking on them (dead shards are not an error here:
-// RecoverShard quiesces the survivors around a corpse). Dead shards'
-// pending buffers still reach the WAL — flushShard appends without
-// sending — where recovery replays them. Returns the first replay error.
-func (e *Engine) quiesceLiveLocked() error {
+// barrierAck is one drain marker posted to a worker.
+type barrierAck struct {
+	w   *worker
+	ack chan error
+}
+
+// barrierLocked is the batch-queue barrier every quiesce runs: flush every
+// pending buffer (a dead shard's into its WAL, where recovery replays it),
+// post a drain marker to every live worker, wait for the acknowledgements,
+// and refresh the replicas. Dead shards are not an error here —
+// RecoverShard quiesces the survivors around a corpse — and a worker that
+// dies instead of acknowledging is marked dead rather than waited on. With
+// release set, mu is released during the wait; the steps after it are
+// keyed by worker, not by shard position, since a recovery may have
+// reshaped the shard set meanwhile. Returns the first replay error.
+func (e *Engine) barrierLocked(release bool) error {
 	for i := range e.pending {
 		e.flushShard(i)
 	}
-	acks := make([]chan error, len(e.workers))
+	acks := make([]barrierAck, 0, len(e.workers))
 	for i, w := range e.workers {
 		if e.dead[i] {
 			continue
@@ -1140,36 +1082,45 @@ func (e *Engine) quiesceLiveLocked() error {
 		ack := make(chan error, 1)
 		select {
 		case w.ch <- msg{ack: ack}:
-			acks[i] = ack
+			acks = append(acks, barrierAck{w: w, ack: ack})
 		case <-w.done:
 			e.markDeadLocked(i)
 		}
 	}
+	if release {
+		e.mu.Unlock()
+	}
 	var first error
-	for i, ack := range acks {
-		if ack == nil {
-			continue
-		}
+	var died []*worker
+	for _, a := range acks {
+		var err error
 		select {
-		case err := <-ack:
-			if err != nil && first == nil {
-				first = err
-			}
-		case <-e.workers[i].done:
+		case err = <-a.ack:
+		case <-a.w.done:
 			// The ack may have raced in just before the death.
 			select {
-			case err := <-ack:
-				if err != nil && first == nil {
-					first = err
-				}
+			case err = <-a.ack:
 			default:
-				e.markDeadLocked(i)
+				died = append(died, a.w)
 			}
 		}
+		if err != nil && first == nil {
+			first = err
+		}
 	}
-	// Barrier refresh of remote counter snapshots and sticky errors (see
-	// Drain); the maintenance operation this barrier precedes may read or
-	// rebase the counters.
+	if release {
+		e.mu.Lock()
+	}
+	for _, w := range died {
+		if i := slices.Index(e.workers, w); i >= 0 {
+			e.markDeadLocked(i)
+		}
+	}
+	// Refresh: pull each remote replica's counter snapshot and sticky
+	// replay error (no-ops for local replicas); the operation this barrier
+	// precedes may read or rebase the counters. A refresh that finds the
+	// worker lost marks the shard dead — this is how an outage that began
+	// while the link was idle surfaces.
 	for i, w := range e.workers {
 		if e.dead[i] {
 			continue
@@ -1223,7 +1174,7 @@ func (e *Engine) applyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 	if e.closed {
 		return fmt.Errorf("shard: engine closed")
 	}
-	if err := e.quiesceLocked(); err != nil {
+	if err := e.quiesceLocked(false); err != nil {
 		return err
 	}
 	// Pre-mutation fault point: an error injected here must leave the
@@ -1385,7 +1336,7 @@ func (e *Engine) ShardStats() []ShardStat {
 	if !e.closed {
 		// Quiesce errors (a sticky replay error on some shard) do not make
 		// the counters unreadable; the error surfaces on Drain/Close.
-		_ = e.quiesceLiveLocked()
+		_ = e.barrierLocked(false)
 	}
 	out := make([]ShardStat, len(e.workers))
 	for i, w := range e.workers {
@@ -1408,7 +1359,7 @@ func (e *Engine) Metrics() (*obs.Snapshot, error) {
 	defer e.mu.Unlock()
 	s := obs.NewSnapshot()
 	if !e.closed {
-		_ = e.quiesceLiveLocked()
+		_ = e.barrierLocked(false)
 	}
 	s.AddCounter("router_multicast_hits_total", e.mcHits)
 	s.AddCounter("router_multicast_drops_total", e.mcDrops)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
-	"repro/internal/mop"
 	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/shard"
@@ -37,13 +36,12 @@ import (
 // A sharded checkpoint records payloads per replica. Restoring into the
 // same shard count is positional (keyed placement, the routing overlay,
 // and replicated copies land exactly where they were); restoring into a
-// different count redistributes at import time — keyed and multicast
-// state re-hashes over the new width, replicated state is copied onto
-// every replica, unpartitioned state folds by shard index — under a fresh
-// routing table (the overlay's shard indices are meaningless at the new
-// width). Checkpoints also capture and restore remote replicas: the
-// registry handles a cluster deployment (NewCluster) ship state over the
-// same RPCs the rebalancer uses.
+// different count redistributes at import time through the placement
+// step rebalance and shard recovery share (shard.Engine.ImportGroups),
+// under a fresh routing table (the overlay's shard indices are
+// meaningless at the new width). Checkpoints also capture and restore
+// remote replicas: the registry handles a cluster deployment
+// (NewCluster) ship state over the same RPCs the rebalancer uses.
 
 // ErrShardDead reports that a shard worker died; recover with
 // (*ShardedSystem).RecoverShard or restore from a checkpoint.
@@ -53,12 +51,11 @@ var ErrShardDead = shard.ErrShardDead
 // was rolled back, leaving the engine usable under its old routing.
 var ErrPartialMigration = shard.ErrPartialMigration
 
-// exportGroups destructively peeks every stored group side of one replica
-// registry: export-all, re-import in place, and append the surviving
-// payload (tagged with the replica index) to groups. Keyed and multicast
-// sides export under their real key attribute so the payload items carry
-// partition keys — a restore into a different shard count re-hashes on
-// them.
+// exportGroups destructively peeks (shard.Peek) every stored group side
+// of one replica registry and appends the surviving payload (tagged with
+// the replica index) to groups. Keyed and multicast sides export under
+// their real key attribute so the payload items carry partition keys — a
+// restore into a different shard count re-hashes on them.
 func exportGroups(reg shard.Registry, shardIdx int, dists map[int][]core.SideDist, groups *[]wire.GroupState) error {
 	for _, ref := range reg.Groups() {
 		for _, side := range ref.Sides {
@@ -66,15 +63,12 @@ func exportGroups(reg shard.Registry, shardIdx int, dists map[int][]core.SideDis
 			if d := core.SideDistAt(dists, ref.OpID, side); d.Dist == core.DistKeyed || d.Dist == core.DistMulticast {
 				keyAttr = d.Attr
 			}
-			pl, err := reg.Export(ref.OpID, side, keyAttr, func(int64, int) bool { return true })
+			pl, err := shard.Peek(reg, ref.OpID, side, keyAttr)
 			if err != nil {
 				return err
 			}
 			if pl.Len() == 0 {
 				continue
-			}
-			if err := reg.Import(ref.OpID, pl, false); err != nil {
-				return err
 			}
 			*groups = append(*groups, wire.GroupState{Shard: shardIdx, OpID: ref.OpID, Payload: pl})
 		}
@@ -261,14 +255,16 @@ func Restore(r io.Reader) (*System, error) {
 // and rebuilds the running sharded system. With cfg.Shards zero (or equal
 // to the checkpoint's count) the restore is positional: per-replica
 // payloads land on the shard that wrote them, the key-placement overlay
-// included. A different cfg.Shards redistributes at import time: keyed and
-// multicast state re-hashes over the new width (the checkpoint payloads
-// carry partition keys), replicated state is copied onto every replica,
-// and unpartitioned state folds by old shard index — under a fresh routing
-// table with a bumped version, since the overlay's shard indices do not
-// survive a width change. Counters are width-independent (replica counters
-// restore as merged bases). Unsharded checkpoints restore too, as a
-// 1-shard system or redistributed across cfg.Shards.
+// included. A different cfg.Shards redistributes at import time by the
+// placement rules of rebalance and shard recovery (README, "Online
+// rebalancing"): keyed and multicast state re-splits by key ownership at
+// the new width (the checkpoint payloads carry partition keys),
+// replicated state is copied onto every replica, and unpartitioned state
+// lands on shard 0 — under a fresh routing table with a bumped version,
+// since the overlay's shard indices do not survive a width change.
+// Counters are width-independent (replica counters restore as merged
+// bases). Unsharded checkpoints restore too, as a 1-shard system or
+// redistributed across cfg.Shards.
 func RestoreSharded(r io.Reader, cfg ShardConfig) (*ShardedSystem, error) {
 	start := time.Now()
 	c, err := wire.ReadCheckpoint(r)
@@ -296,23 +292,17 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*ShardedSystem, error) {
 	if cfg.Shards != c.Shards {
 		// The overlay's explicit key moves name shards of the old width;
 		// start the new width from pure hash placement, one version later.
-		part = &core.PartitionPlan{
-			Routes:          part.Routes,
-			ReplicatedSinks: part.ReplicatedSinks,
-			Parallel:        part.Parallel,
-			Table:           &core.RoutingTable{Version: part.RoutingVersion() + 1},
-		}
+		part = part.WithMoves(nil)
 	}
 	sh, err := shard.New(plan, part, s.shardConfig())
 	if err != nil {
 		return nil, err
 	}
-	err = sh.WithQuiesced(func(regs []shard.Registry) error {
-		if cfg.Shards == c.Shards {
-			return importGroups(c.Groups, regs)
-		}
-		return redistributeGroups(c, plan, part, regs)
-	})
+	if cfg.Shards == c.Shards {
+		err = sh.WithQuiesced(func(regs []shard.Registry) error { return importGroups(c.Groups, regs) })
+	} else {
+		err = sh.ImportGroups(c.Groups, c.Shards)
+	}
 	if err != nil {
 		_ = sh.Close()
 		return nil, err
@@ -331,83 +321,6 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*ShardedSystem, error) {
 	obs.RecordEvent(obs.EvRestore,
 		fmt.Sprintf("shards=%d from=%d groups=%d", cfg.Shards, c.Shards, len(c.Groups)), time.Since(start))
 	return s, nil
-}
-
-// redistributeGroups imports a checkpoint's operator state into a system
-// of a different shard count, applying the same placement rules the
-// recovery migration uses: keyed and multicast sides merge across the old
-// replicas and re-split by key ownership at the new width (duplicate
-// copies of a key round-robin across its owner set), replicated sides
-// place one full copy on every replica, and unpartitioned sides fold by
-// old shard index.
-func redistributeGroups(c *wire.Checkpoint, plan *core.Physical, part *core.PartitionPlan, regs []shard.Registry) error {
-	n := len(regs)
-	dists := part.OpSideDists(plan)
-	type groupSide struct{ op, side int }
-	var order []groupSide
-	buckets := make(map[groupSide][]wire.GroupState)
-	for _, g := range c.Groups {
-		if g.Shard < 0 || g.Shard >= c.Shards {
-			return fmt.Errorf("rumor: checkpoint state for shard %d of %d", g.Shard, c.Shards)
-		}
-		if g.Payload.Len() == 0 {
-			continue
-		}
-		k := groupSide{g.OpID, g.Payload.Side()}
-		if _, ok := buckets[k]; !ok {
-			order = append(order, k)
-		}
-		buckets[k] = append(buckets[k], g)
-	}
-	for _, k := range order {
-		bucket := buckets[k]
-		d := core.SideDistAt(dists, k.op, k.side)
-		switch d.Dist {
-		case core.DistKeyed, core.DistMulticast:
-			payloads := make([]*mop.StatePayload, len(bucket))
-			for i, g := range bucket {
-				payloads[i] = g.Payload
-			}
-			merged := mop.MergePayloads(payloads)
-			if merged.Len() == 0 {
-				continue
-			}
-			rr := make(map[int64]int)
-			parts := merged.SplitBy(n, func(key int64) int {
-				owners := part.Owners(key, n)
-				i := rr[key]
-				rr[key] = i + 1
-				return owners[i%len(owners)]
-			})
-			for ni, pl := range parts {
-				if pl.Len() == 0 {
-					continue
-				}
-				if err := regs[ni].Import(k.op, pl, false); err != nil {
-					return fmt.Errorf("rumor: restoring operator %d state on shard %d: %w", k.op, ni, err)
-				}
-			}
-		case core.DistReplicated:
-			// Every old replica checkpointed an identical copy; replicate
-			// the first onto every new replica and drop the rest.
-			src := bucket[0].Payload
-			for i := range regs {
-				if err := regs[i].Import(k.op, src, true); err != nil {
-					return fmt.Errorf("rumor: restoring operator %d state on shard %d: %w", k.op, i, err)
-				}
-			}
-			for _, g := range bucket {
-				g.Payload.Discard()
-			}
-		default:
-			for _, g := range bucket {
-				if err := regs[g.Shard%n].Import(k.op, g.Payload, false); err != nil {
-					return fmt.Errorf("rumor: restoring operator %d state on shard %d: %w", k.op, g.Shard%n, err)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // RoutingVersion returns the routing-table version currently in effect
@@ -433,11 +346,13 @@ type RecoverStats struct {
 
 // RecoverShard absorbs a crashed shard into the survivors: the dead
 // worker's unacknowledged batches are replayed into its intact engine
-// replica, its operator state is serialized and re-imported on the
-// surviving shards (keyed state fully re-hashed over the shrunken count),
-// and ingestion resumes over N-1 shards under a bumped routing-table
-// version. Call it after an operation fails with ErrShardDead. Safe to
-// call while other goroutines Push.
+// replica, its operator state is serialized and placed on the surviving
+// shards by the placement rules of rebalance (README, "Online
+// rebalancing": keyed state re-hashed over the shrunken count, replicated
+// copies dropped — every survivor holds one — and unpartitioned state
+// moved to one survivor), and ingestion resumes over N-1 shards under a
+// bumped routing-table version. Call it after an operation fails with
+// ErrShardDead. Safe to call while other goroutines Push.
 func (s *ShardedSystem) RecoverShard() (RecoverStats, error) {
 	if s.sh == nil {
 		return RecoverStats{}, errNotOptimized("RecoverShard")
